@@ -23,7 +23,7 @@ var batchGateExprs = []string{
 // TestBatchThroughputGate asserts that batch-at-a-time execution keeps
 // paying for itself: the default-batch engine must drain scan-heavy
 // shapes at least 1.5x faster than the same engine pinned to
-// ExecBatchSize 1 (tuple-at-a-time pull cadence). Both sides run the
+// execution batch 1 (tuple-at-a-time pull cadence). Both sides run the
 // identical operator tree — the ratio isolates precisely the per-pull
 // amortization this engine's vectorized executor exists to provide, so
 // a regression here means someone re-introduced per-tuple overhead on
@@ -39,8 +39,8 @@ func TestBatchThroughputGate(t *testing.T) {
 		t.Skip("set VAMANA_BATCH_GATE=1 to run the batch-throughput gate")
 	}
 	src := xmark.GenerateString(xmark.Config{Factor: xmark.FactorForBytes(1 << 20), Seed: 51})
-	open := func(opts Options) (*DB, *Document) {
-		db, err := Open(opts)
+	open := func(k benchKnobs) (*DB, *Document) {
+		db, err := openWith(Options{}, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +54,8 @@ func TestBatchThroughputGate(t *testing.T) {
 		}
 		return db, doc
 	}
-	tupleDB, tupleDoc := open(Options{ExecBatchSize: 1})
-	batchedDB, batchedDoc := open(Options{})
+	tupleDB, tupleDoc := open(benchKnobs{execBatch: 1})
+	batchedDB, batchedDoc := open(benchKnobs{})
 
 	loop := func(db *DB, doc *Document) func(b *testing.B) {
 		return func(b *testing.B) {

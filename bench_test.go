@@ -23,6 +23,7 @@ import (
 
 	"vamana"
 	"vamana/internal/bench"
+	"vamana/internal/core"
 	"vamana/internal/cost"
 	"vamana/internal/exec"
 	"vamana/internal/mass"
@@ -418,7 +419,8 @@ func mergeBenchServing(b *testing.B, fields map[string]json.RawMessage) {
 
 // BenchmarkServingBatch sweeps the executor pull-batch size over the
 // paper workload: each sub-benchmark serves one query shape through
-// DB.Query against a database opened with that ExecBatchSize, so the
+// the engine's serving path (what DB.Query runs) on an engine opened with
+// that executor batch size (bench.NewFixtureExecBatch), so the
 // series isolates what vectorized batch-at-a-time execution buys over
 // the tuple-at-a-time degenerate case (batch=1, the pre-batching
 // executor's pull discipline). The shapes cover three regimes on a 1 MB
@@ -456,25 +458,23 @@ func BenchmarkServingBatch(b *testing.B) {
 		shape{name: "first-match", expr: "//person/address", firstOnly: true},
 	)
 
-	src := fixtureMB(b, docMB).Source()
-	dbs := map[int]*vamana.DB{}
-	docs := map[int]*vamana.Document{}
+	engs := map[int]*core.Engine{}
+	docs := map[int]mass.DocID{}
 	for _, batch := range batches {
-		db, err := vamana.Open(vamana.Options{ExecBatchSize: batch})
+		f, err := bench.NewFixtureExecBatch(docMB<<20, 71, false, batch)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer db.Close()
-		doc, err := db.LoadXMLString("auction", src)
-		if err != nil {
-			b.Fatal(err)
-		}
+		defer f.Close()
+		eng, doc := f.VamanaEngine()
 		for _, s := range shapes {
-			if _, err := db.Query(doc, s.expr); err != nil {
+			it, err := eng.Query(doc, s.expr)
+			if err != nil {
 				b.Fatal(err)
 			}
+			it.Close()
 		}
-		dbs[batch], docs[batch] = db, doc
+		engs[batch], docs[batch] = eng, doc
 	}
 
 	type point struct {
@@ -493,23 +493,23 @@ func BenchmarkServingBatch(b *testing.B) {
 	for _, s := range shapes {
 		sweep.Shapes[s.name] = map[string]point{}
 		for _, batch := range batches {
-			db, doc := dbs[batch], docs[batch]
+			eng, doc := engs[batch], docs[batch]
 			b.Run(fmt.Sprintf("shape=%s/batch=%d", s.name, batch), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := db.Query(doc, s.expr)
+					it, err := eng.Query(doc, s.expr)
 					if err != nil {
 						b.Fatal(err)
 					}
 					if s.firstOnly {
-						res.Next()
+						it.Next()
 					} else {
-						for res.Next() {
+						for it.Next() {
 						}
 					}
-					if err := res.Err(); err != nil {
+					if err := it.Err(); err != nil {
 						b.Fatal(err)
 					}
-					res.Close()
+					it.Close()
 				}
 				// The ramp invokes this body several times with growing
 				// b.N; the final (largest) invocation's numbers win.

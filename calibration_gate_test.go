@@ -26,8 +26,8 @@ func TestCalibrationOverheadGate(t *testing.T) {
 		t.Skip("set VAMANA_CALIBRATION_GATE=1 to run the calibration-overhead gate")
 	}
 	src := xmark.GenerateString(xmark.Config{Factor: xmark.FactorForBytes(32 << 10), Seed: 51})
-	open := func(opts Options) (*DB, *Document) {
-		db, err := Open(opts)
+	open := func(k benchKnobs) (*DB, *Document) {
+		db, err := openWith(Options{}, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +47,8 @@ func TestCalibrationOverheadGate(t *testing.T) {
 		}
 		return db, doc
 	}
-	offDB, offDoc := open(Options{DisableCostObservatory: true})
-	onDB, onDoc := open(Options{}) // observatory on by default
+	offDB, offDoc := open(benchKnobs{noCostObservatory: true})
+	onDB, onDoc := open(benchKnobs{}) // observatory on by default
 
 	loop := func(db *DB, doc *Document) func(b *testing.B) {
 		return func(b *testing.B) {

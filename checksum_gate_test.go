@@ -29,11 +29,10 @@ func TestChecksumOverheadGate(t *testing.T) {
 	}
 	src := xmark.GenerateString(xmark.Config{Factor: xmark.FactorForBytes(256 << 10), Seed: 51})
 	open := func(name string, disable bool) (*DB, *Document) {
-		db, err := Open(Options{
-			Path:                  filepath.Join(t.TempDir(), name),
-			CachePages:            64, // keep warm queries reading through the pager
-			DisableChecksumVerify: disable,
-		})
+		db, err := openWith(Options{
+			Path:       filepath.Join(t.TempDir(), name),
+			CachePages: 64, // keep warm queries reading through the pager
+		}, benchKnobs{noChecksumVerify: disable})
 		if err != nil {
 			t.Fatal(err)
 		}

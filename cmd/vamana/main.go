@@ -206,11 +206,11 @@ func cmdQuery(args []string) error {
 		res, err = db.QueryContext(ctx, doc, fs.Arg(0), opts...)
 	} else {
 		var q *vamana.Query
-		q, err = db.Compile(fs.Arg(0))
+		q, err = db.Prepare(fs.Arg(0), vamana.WithoutOptimization(), vamana.WithoutCache())
 		if err != nil {
 			return err
 		}
-		res, err = q.ExecuteContext(ctx, doc, opts...)
+		res, err = q.Run(ctx, doc, opts...)
 	}
 	if err != nil {
 		return err
@@ -269,9 +269,9 @@ func cmdExplain(args []string) error {
 
 	var q *vamana.Query
 	if *deflt {
-		q, err = db.Compile(fs.Arg(0))
+		q, err = db.Prepare(fs.Arg(0), vamana.WithoutOptimization(), vamana.WithoutCache())
 	} else {
-		q, err = db.CompileOptimized(doc, fs.Arg(0))
+		q, err = db.Prepare(fs.Arg(0), vamana.WithDocument(doc), vamana.WithoutCache())
 	}
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package vamana
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -39,9 +40,9 @@ func skewedDoc(t testing.TB, db *DB) *Document {
 // Analyze machinery ExplainAnalyze renders.
 func geomeanQError(t testing.TB, db *DB, doc *Document, expr string) float64 {
 	t.Helper()
-	q, err := db.CompileOptimized(doc, expr)
+	q, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
-		t.Fatalf("CompileOptimized(%s): %v", expr, err)
+		t.Fatalf("Prepare(%s): %v", expr, err)
 	}
 	an, err := q.q.Analyze(doc.id)
 	if err != nil {
@@ -130,7 +131,7 @@ func TestCostObservatoryProfile(t *testing.T) {
 	}
 
 	// Disabling the observatory removes the profile entirely.
-	off, err := Open(Options{DisableCostObservatory: true})
+	off, err := openWith(Options{}, benchKnobs{noCostObservatory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestCostObservatoryProfile(t *testing.T) {
 	offDoc := loadAuction(t, off, 0.003)
 	drainCount(t, off, offDoc, workloadExprs[0])
 	if _, ok := off.CostProfile(); ok {
-		t.Error("CostProfile available despite DisableCostObservatory")
+		t.Error("CostProfile available with the observatory off")
 	}
 }
 
@@ -210,7 +211,7 @@ func TestCostDebugEndpointsAndMetrics(t *testing.T) {
 	}
 
 	// Disabled observatory: /cost 404s but the rest of the page works.
-	off, err := Open(Options{DisableCostObservatory: true})
+	off, err := openWith(Options{}, benchKnobs{noCostObservatory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +310,31 @@ func TestCostCalibrationLearns(t *testing.T) {
 	if !anyFactor {
 		t.Error("no class learned a correction factor below 1")
 	}
+}
+
+// TestCostCalibrationSharedSnapshot: after an Update, reads run on the
+// shared auto-snapshot and still feed calibration; the resulting epoch
+// bump changes no committed data, so it must not mark the shared
+// snapshot stale (which would push reads back onto the live store).
+func TestCostCalibrationSharedSnapshot(t *testing.T) {
+	db, err := Open(Options{CostCalibration: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	doc := skewedDoc(t, db)
+	if err := db.Update(func(*Txn) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	drainCount(t, db, doc, "//a/b")
+	if p, _ := db.CostProfile(); p.EpochBumps == 0 {
+		t.Fatalf("no epoch bump from a shared-snapshot read after a 64x misestimate: %+v", p)
+	}
+	sn := db.acquireShared()
+	if sn == nil {
+		t.Fatal("calibration epoch bump marked the shared snapshot stale")
+	}
+	sn.Unref()
 }
 
 // TestCostCalibrationImprovesXmark pairs two databases over the same
@@ -512,17 +538,17 @@ func servedSortedKeys(t *testing.T, db *DB, doc *Document, expr string) []string
 // cached optimized plan — the canonical byte-comparable stream.
 func orderedKeys(t *testing.T, db *DB, doc *Document, expr string) []string {
 	t.Helper()
-	q, err := db.CompileCached(doc, expr, true)
+	q, err := db.Prepare(expr, WithDocument(doc))
 	if err != nil {
-		t.Fatalf("CompileCached(%s): %v", expr, err)
+		t.Fatalf("Prepare(%s): %v", expr, err)
 	}
-	res, err := q.ExecuteOrdered(doc)
+	res, err := q.Run(context.Background(), doc, Ordered())
 	if err != nil {
-		t.Fatalf("ExecuteOrdered(%s): %v", expr, err)
+		t.Fatalf("Run(%s): %v", expr, err)
 	}
 	keys, err := res.Keys()
 	if err != nil {
-		t.Fatalf("ExecuteOrdered(%s) drain: %v", expr, err)
+		t.Fatalf("Run(%s) drain: %v", expr, err)
 	}
 	return keys
 }

@@ -2,6 +2,7 @@ package vamana
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -25,9 +26,11 @@ const crashBaseXML = `<site><a>one</a><b kind="x">two</b><c>three</c></site>`
 const crashSecondXML = `<extra><p>alpha</p><p>beta</p></extra>`
 
 // crashOp is one write-path operation under test. Each op mutates the
-// store through the public API; backend I/O happens when a flush runs
-// (inside the op for "flush", inside Close for the rest), so apply
-// returns its error: expected during fault runs, fatal during clean runs.
+// store through the public API — a document load, or one DB.Update
+// transaction per mutation kind. Backend I/O happens inside the op (the
+// transaction's durable group commit, or the explicit Flush) and inside
+// Close, so apply returns its error: expected during fault runs, fatal
+// during clean runs.
 type crashOp struct {
 	name  string
 	apply func(t *testing.T, db *DB, doc *Document) error
@@ -36,11 +39,11 @@ type crashOp struct {
 // keyOf evaluates expr and returns the first result's FLEX key.
 func keyOf(t *testing.T, db *DB, doc *Document, expr string) string {
 	t.Helper()
-	q, err := db.Compile(expr)
+	q, err := db.Prepare(expr, WithoutOptimization(), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.ExecuteOrdered(doc)
+	res, err := q.Run(context.Background(), doc, Ordered())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,33 +57,46 @@ func keyOf(t *testing.T, db *DB, doc *Document, expr string) string {
 	return keys[0]
 }
 
+// insertOp is a crashOp that inserts one node under the first match of
+// parent in its own transaction.
+func insertOp(parent string, insert func(tx *Txn, doc *Document, key string) (string, error)) func(*testing.T, *DB, *Document) error {
+	return func(t *testing.T, db *DB, doc *Document) error {
+		key := keyOf(t, db, doc, parent)
+		return db.Update(func(tx *Txn) error {
+			_, err := insert(tx, doc, key)
+			return err
+		})
+	}
+}
+
 var crashOps = []crashOp{
 	{"load", func(t *testing.T, db *DB, _ *Document) error {
 		_, err := db.LoadXMLString("doc2", crashSecondXML)
 		return err
 	}},
-	{"insert-element", func(t *testing.T, db *DB, doc *Document) error {
-		_, err := doc.InsertElement(keyOf(t, db, doc, "/site"), -1, "d")
-		return err
-	}},
-	{"insert-text", func(t *testing.T, db *DB, doc *Document) error {
-		_, err := doc.InsertText(keyOf(t, db, doc, "//a"), -1, "more")
-		return err
-	}},
-	{"insert-attribute", func(t *testing.T, db *DB, doc *Document) error {
-		_, err := doc.InsertAttribute(keyOf(t, db, doc, "//c"), "id", "9")
-		return err
-	}},
+	{"insert-element", insertOp("/site", func(tx *Txn, doc *Document, key string) (string, error) {
+		return tx.InsertElement(doc, key, -1, "d")
+	})},
+	{"insert-text", insertOp("//a", func(tx *Txn, doc *Document, key string) (string, error) {
+		return tx.InsertText(doc, key, -1, "more")
+	})},
+	{"insert-attribute", insertOp("//c", func(tx *Txn, doc *Document, key string) (string, error) {
+		return tx.InsertAttribute(doc, key, "id", "9")
+	})},
 	{"update-text", func(t *testing.T, db *DB, doc *Document) error {
-		return doc.UpdateText(keyOf(t, db, doc, "//b/text()"), "TWO")
+		key := keyOf(t, db, doc, "//b/text()")
+		return db.Update(func(tx *Txn) error { return tx.UpdateText(doc, key, "TWO") })
 	}},
 	{"delete-subtree", func(t *testing.T, db *DB, doc *Document) error {
-		return doc.DeleteSubtree(keyOf(t, db, doc, "//c"))
+		key := keyOf(t, db, doc, "//c")
+		return db.Update(func(tx *Txn) error { return tx.DeleteSubtree(doc, key) })
 	}},
-	// "flush" isolates an explicit mid-session Flush (rather than the one
-	// inside Close) as the crashing commit.
+	// "flush" crashes an explicit mid-session Flush (rather than the one
+	// inside Close) after a committed transaction.
 	{"flush", func(t *testing.T, db *DB, doc *Document) error {
-		if _, err := doc.InsertElement(keyOf(t, db, doc, "/site"), -1, "f"); err != nil {
+		if err := insertOp("/site", func(tx *Txn, doc *Document, key string) (string, error) {
+			return tx.InsertElement(doc, key, -1, "f")
+		})(t, db, doc); err != nil {
 			return err
 		}
 		return db.engine.Store().Flush()

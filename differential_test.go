@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -196,7 +197,7 @@ func runDifferential(t *testing.T, seed int64, docs, queriesPerDoc int) {
 		dbs := make([]*DB, len(diffBatchSizes))
 		diffDocs := make([]*Document, len(diffBatchSizes))
 		for i, b := range diffBatchSizes {
-			db, err := Open(Options{ExecBatchSize: b})
+			db, err := openWith(Options{}, benchKnobs{execBatch: b})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,8 +230,12 @@ func runDifferential(t *testing.T, seed int64, docs, queriesPerDoc int) {
 				name    string
 				compile func(db *DB, doc *Document) (*Query, error)
 			}{
-				{"VQP", func(db *DB, _ *Document) (*Query, error) { return db.Compile(expr) }},
-				{"VQP-OPT", func(db *DB, doc *Document) (*Query, error) { return db.CompileOptimized(doc, expr) }},
+				{"VQP", func(db *DB, _ *Document) (*Query, error) {
+					return db.Prepare(expr, WithoutOptimization(), WithoutCache())
+				}},
+				{"VQP-OPT", func(db *DB, doc *Document) (*Query, error) {
+					return db.Prepare(expr, WithDocument(doc), WithoutCache())
+				}},
 			} {
 				// refStream is the batch-1 pipelined (unordered) key
 				// stream; every other batch size must reproduce it
@@ -241,7 +246,7 @@ func runDifferential(t *testing.T, seed int64, docs, queriesPerDoc int) {
 					if err != nil {
 						fail("%s compile error: %v", eng.name, err)
 					}
-					res, err := q.ExecuteOrdered(diffDocs[i])
+					res, err := q.Run(context.Background(), diffDocs[i], Ordered())
 					if err != nil {
 						fail("%s[batch=%d] execute error: %v", eng.name, b, err)
 					}
@@ -260,7 +265,7 @@ func runDifferential(t *testing.T, seed int64, docs, queriesPerDoc int) {
 						}
 					}
 
-					pres, err := q.Execute(diffDocs[i])
+					pres, err := q.Run(context.Background(), diffDocs[i])
 					if err != nil {
 						fail("%s[batch=%d] pipelined execute error: %v", eng.name, b, err)
 					}

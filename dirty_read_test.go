@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,12 +18,26 @@ func queryKeys(db *DB, doc *Document, expr string) ([]string, error) {
 	return res.Keys()
 }
 
+// runKeys runs expr against doc through Prepare→Run and returns the
+// matched FLEX keys.
+func runKeys(db *DB, doc *Document, expr string) ([]string, error) {
+	q, err := db.Prepare(expr, WithDocument(doc))
+	if err != nil {
+		return nil, err
+	}
+	res, err := q.Run(context.Background(), doc)
+	if err != nil {
+		return nil, err
+	}
+	return res.Keys()
+}
+
 // TestNoDirtyReadsDuringTransaction is the regression test for the
 // DESIGN §13 limitation: direct Document reads (CountName, Stats, Node,
-// StringValue, WriteXML, queries) issued while a DB.Update is open used
-// to hit the live trees and observe the transaction's buffered writes.
-// They must observe the last committed state instead, from the very
-// first transaction on.
+// StringValue, WriteXML, queries, Prepare→Run) issued while a DB.Update
+// is open used to hit the live trees and observe the transaction's
+// buffered writes. They must observe the last committed state instead,
+// from the very first transaction on.
 func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 	db := openDB(t)
 	doc, err := db.LoadXMLString("d", `<lib><book><title>Committed</title></book></lib>`)
@@ -83,6 +98,9 @@ func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 		if got, err := queryKeys(db, doc, "//book"); err != nil || len(got) != 1 {
 			t.Errorf("mid-txn query //book = %d keys, %v; want 1", len(got), err)
 		}
+		if got, err := runKeys(db, doc, "//book"); err != nil || len(got) != 1 {
+			t.Errorf("mid-txn Prepare→Run //book = %d keys, %v; want 1 (dirty read)", len(got), err)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -112,6 +130,9 @@ func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 		}
 		if n, err := doc.CountName("pamphlet"); err != nil || n != 0 {
 			t.Errorf("mid-txn CountName(pamphlet) = %d, %v; want 0 (dirty read)", n, err)
+		}
+		if got, err := runKeys(db, doc, "//pamphlet"); err != nil || len(got) != 0 {
+			t.Errorf("mid-txn Prepare→Run //pamphlet = %d keys, %v; want 0 (dirty read)", len(got), err)
 		}
 		return errAbort
 	}

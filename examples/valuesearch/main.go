@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -50,12 +51,12 @@ func main() {
 	// A value-driven query: the optimizer sees TC("Vermont") and drives
 	// the whole plan from the value index.
 	expr := "//province[text()='Vermont']/ancestor::person"
-	q, err := db.CompileOptimized(doc, expr)
+	q, err := db.Prepare(expr, vamana.WithDocument(doc))
 	if err != nil {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	res, err := q.Execute(doc)
+	res, err := q.Run(context.Background(), doc)
 	if err != nil {
 		log.Fatal(err)
 	}

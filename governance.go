@@ -134,52 +134,20 @@ func From(startKey string, vars map[string][]string) QueryOption {
 // index cursors) are released.
 func (db *DB) QueryContext(ctx context.Context, doc *Document, expr string, opts ...QueryOption) (*Results, error) {
 	cfg := db.config(opts)
-	// A snapshot-bound handle always queries its snapshot's pinned
-	// version.
-	if doc.snap != nil {
-		if doc.snap.closed.Load() {
-			return nil, ErrSnapshotClosed
-		}
-		return doc.snap.queryContext(ctx, doc, expr, cfg)
+	if doc.snap != nil && doc.snap.closed.Load() {
+		return nil, ErrSnapshotClosed
 	}
-	// Auto-snapshot: serve from the shared snapshot when one is fresh,
-	// so a long result stream never observes a concurrent writer
-	// mid-flight. The temporary reference covers query startup; from
-	// then on the iterator holds its own pin until it finishes.
-	if sn := db.acquireShared(); sn != nil {
-		it, err := sn.QueryContext(ctx, doc.id, expr, cfg.limits)
+	// The iterator pins the store it reads until it finishes; the shared
+	// snapshot's temporary reference only covers query startup.
+	sn, ref := doc.readFrom()
+	it, err := db.engine.QueryContext(ctx, sn, doc.id, expr, cfg.limits)
+	if ref {
 		sn.Unref()
-		if err != nil {
-			return nil, err
-		}
-		return &Results{doc: doc, it: it}, nil
 	}
-	it, err := db.engine.QueryContext(ctx, doc.id, expr, cfg.limits)
 	if err != nil {
 		return nil, err
 	}
 	return &Results{doc: doc, it: it}, nil
-}
-
-// ExecuteContext is Execute under governance (see DB.QueryContext).
-//
-// Deprecated: use Run (same signature and behavior).
-func (q *Query) ExecuteContext(ctx context.Context, doc *Document, opts ...QueryOption) (*Results, error) {
-	return q.Run(ctx, doc, opts...)
-}
-
-// ExecuteOrderedContext is ExecuteOrdered under governance.
-//
-// Deprecated: use Run with Ordered.
-func (q *Query) ExecuteOrderedContext(ctx context.Context, doc *Document, opts ...QueryOption) (*Results, error) {
-	return q.Run(ctx, doc, append(opts, Ordered())...)
-}
-
-// ExecuteFromContext is ExecuteFrom under governance.
-//
-// Deprecated: use Run with From.
-func (q *Query) ExecuteFromContext(ctx context.Context, doc *Document, startKey string, vars map[string][]string, opts ...QueryOption) (*Results, error) {
-	return q.Run(ctx, doc, append(opts, From(startKey, vars))...)
 }
 
 // wrapNoDoc translates the storage layer's unknown-document error into

@@ -22,7 +22,7 @@ import (
 func TestBudgetMaxResultsMidBatch(t *testing.T) {
 	for _, batch := range []int{1, 2, 4, 64, 256} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			db, err := Open(Options{ExecBatchSize: batch})
+			db, err := openWith(Options{}, benchKnobs{execBatch: batch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestBudgetMaxResultsMidBatch(t *testing.T) {
 func TestBudgetMaxDecodedRecordsMidBatch(t *testing.T) {
 	for _, batch := range []int{1, 64, 256} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			db, err := Open(Options{ExecBatchSize: batch})
+			db, err := openWith(Options{}, benchKnobs{execBatch: batch})
 			if err != nil {
 				t.Fatal(err)
 			}

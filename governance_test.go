@@ -340,9 +340,9 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("Drop(nope) = %v, want ErrNoSuchDocument", err)
 	}
 
-	_, err := db.Compile("//person[")
+	_, err := db.Prepare("//person[", WithoutOptimization(), WithoutCache())
 	if err == nil {
-		t.Fatal("Compile of malformed expression succeeded")
+		t.Fatal("Prepare of malformed expression succeeded")
 	}
 	var se *SyntaxError
 	if !errors.As(err, &se) {

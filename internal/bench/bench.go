@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"vamana/internal/baseline/galax"
 	"vamana/internal/baseline/pathjoin"
 	"vamana/internal/core"
+	"vamana/internal/govern"
 	"vamana/internal/mass"
 	"vamana/internal/xmark"
 )
@@ -217,7 +219,7 @@ func (f *Fixture) Run(e Engine, q Query) Result {
 
 func (f *Fixture) timeVamana(cq *core.Query) (int, time.Duration, error) {
 	t0 := time.Now()
-	it, err := cq.Execute(f.doc)
+	it, err := cq.RunContext(context.Background(), nil, f.doc, "", nil, false, govern.Limits{})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -42,15 +42,15 @@ type Options struct {
 	// path keeps (see Engine.Query). 0 selects the default (256);
 	// negative disables plan caching.
 	PlanCacheSize int
-	// SlowQueryThreshold records Engine.Query calls whose end-to-end
-	// latency meets or exceeds it into the slow-query ring (and
-	// SlowQueryLog, when set). 0 disables slow-query tracking.
+	// SlowQueryThreshold records queries on every read path whose
+	// end-to-end latency meets or exceeds it into the slow-query ring
+	// (and SlowQueryLog, when set). 0 disables slow-query tracking.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog, when non-nil, receives one line per slow query.
 	SlowQueryLog io.Writer
-	// TraceEvery samples a TraceContext for 1-in-N Engine.Query calls
-	// (1 traces every query). 0 disables tracing; the unsampled cache-hit
-	// path then allocates no per-query trace state at all.
+	// TraceEvery samples a TraceContext for 1-in-N queries on every read
+	// path (1 traces every query). 0 disables tracing; the unsampled
+	// cache-hit path then allocates no per-query trace state at all.
 	TraceEvery int
 	// TraceSink receives each sampled TraceContext after its query
 	// finishes. Called from the goroutine that drained the iterator;
@@ -89,9 +89,8 @@ type Engine struct {
 	// disabled.
 	plans *planCache
 
-	// finishFn is the iterator finish hook, bound once at Open so the
-	// per-query serving path never allocates a method value.
-	finishFn func(*exec.Iterator)
+	// live is the read view over the live store (see view).
+	live view
 	// slow is the slow-query recorder; nil when no threshold is set.
 	slow       *slowLog
 	traceEvery uint64
@@ -126,7 +125,7 @@ func Open(opts Options) (*Engine, error) {
 	if !opts.DisableCostObservatory {
 		e.cost = newCostObservatory(s, opts.CostCalibration)
 	}
-	e.finishFn = e.queryFinished
+	e.live.init(e, s, e.plans, e.probes, nil)
 	if opts.SlowQueryThreshold > 0 {
 		e.slow = &slowLog{threshold: opts.SlowQueryThreshold, w: opts.SlowQueryLog}
 	}
@@ -191,22 +190,23 @@ func (e *Engine) Compile(expr string) (*Query, error) {
 // CompileOptimized parses expr and runs the cost-driven optimizer against
 // doc's live statistics — "VQP-OPT".
 func (e *Engine) CompileOptimized(doc mass.DocID, expr string) (*Query, error) {
-	return e.compileOptimizedOn(e.store, e.probes, doc, expr)
+	return e.live.compileOptimized(doc, expr)
 }
 
-// compileOptimizedOn is CompileOptimized parameterized by the store and
-// statistics memo the optimizer probes — the engine's own for live
-// compiles, a snapshot's frozen pair for snapshot compiles.
-func (e *Engine) compileOptimizedOn(st *mass.Store, probes *cost.MemoProbes, doc mass.DocID, expr string) (*Query, error) {
+// compileOptimized is CompileOptimized against v's store and statistics
+// memo — the engine's own for live compiles, a snapshot's frozen pair
+// for snapshot compiles.
+func (v *view) compileOptimized(doc mass.DocID, expr string) (*Query, error) {
+	e := v.e
 	q, err := e.Compile(expr)
 	if err != nil {
 		return nil, err
 	}
 	defPlan := q.plan
 	o := &opt.Optimizer{
-		Store:     st,
+		Store:     v.st,
 		Doc:       doc,
-		Probes:    probes,
+		Probes:    v.probes,
 		Calibrate: e.calibrateFn(),
 		Trace: func(format string, args ...any) {
 			q.trace = append(q.trace, fmt.Sprintf(format, args...))
@@ -224,7 +224,7 @@ func (e *Engine) compileOptimizedOn(st *mass.Store, probes *cost.MemoProbes, doc
 	// are rare enough that the second optimization (probe-memoized) is
 	// in the noise.
 	if e.cost != nil && e.cost.calibrating && e.cost.calibrationActive() {
-		raw := &opt.Optimizer{Store: st, Doc: doc, Probes: probes}
+		raw := &opt.Optimizer{Store: v.st, Doc: doc, Probes: v.probes}
 		if rawPlan, rerr := raw.Optimize(defPlan); rerr == nil && planShape(rawPlan) != planShape(optPlan) {
 			e.cost.regressions.Add(1)
 			obs.CostPlanRegressions.Inc()
@@ -239,31 +239,23 @@ func (e *Engine) compileOptimizedOn(st *mass.Store, probes *cost.MemoProbes, doc
 // validated against the document's statistics epoch, so any update to the
 // document transparently forces a recompile against fresh statistics.
 func (e *Engine) CompileCached(doc mass.DocID, expr string, optimized bool) (*Query, error) {
-	q, _, err := e.compileCached(doc, expr, optimized)
+	q, _, err := e.live.compileCached(doc, expr, optimized)
 	return q, err
 }
 
-// compileCached is CompileCached plus a report of whether the plan came
-// from the cache — the compile-vs-serve split the serving metrics track.
-func (e *Engine) compileCached(doc mass.DocID, expr string, optimized bool) (*Query, bool, error) {
-	return e.compileCachedOn(e.plans, e.store, e.probes, doc, expr, optimized)
-}
-
-// compileCachedOn is compileCached parameterized by the plan cache,
-// store, and statistics memo it consults. Snapshot queries pass the
-// snapshot's private triple: its epochs never move, so cached entries
-// stay valid for the snapshot's whole life.
-func (e *Engine) compileCachedOn(plans *planCache, st *mass.Store, probes *cost.MemoProbes, doc mass.DocID, expr string, optimized bool) (*Query, bool, error) {
-	if plans == nil {
-		var (
-			q   *Query
-			err error
-		)
+// compileCached is CompileCached through v's plan cache, store and
+// statistics memo, plus a report of whether the plan came from the cache
+// — the compile-vs-serve split the serving metrics track. A private
+// snapshot cache never invalidates: the snapshot's epochs never move.
+func (v *view) compileCached(doc mass.DocID, expr string, optimized bool) (*Query, bool, error) {
+	compile := func() (*Query, error) {
 		if optimized {
-			q, err = e.compileOptimizedOn(st, probes, doc, expr)
-		} else {
-			q, err = e.Compile(expr)
+			return v.compileOptimized(doc, expr)
 		}
+		return v.e.Compile(expr)
+	}
+	if v.plans == nil {
+		q, err := compile()
 		return q, false, err
 	}
 	k := planKey{expr: expr, optimized: optimized}
@@ -273,24 +265,16 @@ func (e *Engine) compileCachedOn(plans *planCache, st *mass.Store, probes *cost.
 		// Capture the epoch before compiling: if an update lands while the
 		// optimizer is probing, the entry records the pre-update epoch and
 		// the next lookup recompiles — conservative but always correct.
-		epoch = st.Epoch(doc)
+		epoch = v.st.Epoch(doc)
 	}
-	if q, ok := plans.get(k, epoch); ok {
+	if q, ok := v.plans.get(k, epoch); ok {
 		return q, true, nil
 	}
-	var (
-		q   *Query
-		err error
-	)
-	if optimized {
-		q, err = e.compileOptimizedOn(st, probes, doc, expr)
-	} else {
-		q, err = e.Compile(expr)
-	}
+	q, err := compile()
 	if err != nil {
 		return nil, false, err
 	}
-	plans.put(k, q, epoch)
+	v.plans.put(k, q, epoch)
 	return q, false, nil
 }
 
@@ -306,157 +290,26 @@ func (e *Engine) compileCachedOn(plans *planCache, st *mass.Store, probes *cost.
 // (cache hit, unsampled) the instrumentation adds two time.Now calls
 // and a handful of counter updates — no allocations.
 func (e *Engine) Query(doc mass.DocID, expr string) (*exec.Iterator, error) {
-	return e.QueryContext(context.Background(), doc, expr, govern.Limits{})
+	return e.QueryContext(context.Background(), nil, doc, expr, govern.Limits{})
 }
 
-// QueryContext is Query under governance: the run observes ctx's
-// cancellation and deadline, and limits' resource budgets (zero limits =
-// unlimited). A pre-canceled or pre-expired ctx fails here, before the
-// plan cache or storage is touched. With a Background context and zero
-// limits the limiter is nil and the path is identical to Query.
-func (e *Engine) QueryContext(cctx context.Context, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
-	start := time.Now()
-	// Pre-flight: a pre-canceled or pre-expired ctx fails here, before
-	// the plan cache, the optimizer's statistics probes, or storage is
-	// touched. This is the query's single immediate poll; from here on
-	// cancellation rides the limiter's amortized ticks.
-	if err := govern.CheckContext(cctx); err != nil {
-		return nil, err
-	}
-	q, hit, err := e.compileCached(doc, expr, true)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		obs.QueriesServedCached.Inc()
-	} else {
-		obs.QueriesCompiled.Inc()
-	}
-	ctx := exec.Context{
-		Store:       e.store,
-		Doc:         doc,
-		Ctx:         cctx,
-		Limits:      limits,
-		OnFinish:    e.finishFn,
-		FinishStart: start,
-		FinishObj:   q,
-		Batch:       e.execBatch,
-	}
-	// A traced query records per-operator spans: 1-in-TraceEvery samples,
-	// or every query when the flight recorder is on (so slow/budget-
-	// tripped queries are captured retroactively). Slow-query tracking
-	// alone arms the accounting limiter without spans, so every slow
-	// entry carries its storage deltas.
-	sampled := e.traceEvery > 0 && e.traceN.Add(1)%e.traceEvery == 0
-	traced := sampled || e.flight != nil
-	ctx.Trace = traced
-	ctx.Account = e.slow != nil
-	// A traced query (and the rare compile miss, whose cost dwarfs one
-	// allocation) carries a TraceContext instead of the bare Query, so
-	// the finish hook can report compile time and cache-hit status.
-	if traced || !hit {
-		tc := &TraceContext{
-			ID:       e.traceSeq.Add(1),
-			Expr:     expr,
-			Doc:      doc,
-			Start:    start,
-			CacheHit: hit,
-			Compile:  time.Since(start),
-			sampled:  sampled,
-			traced:   traced,
-			q:        q,
-		}
-		if sampled {
-			obs.TracesSampled.Inc()
-		}
-		// A traced run under a serving request joins the wire identity;
-		// the finish hook then hands the export to the request instead of
-		// the flight ring (the serving layer records the combined trace).
-		if traced {
-			if rt := requestTraceFrom(cctx); rt != nil {
-				tc.Request, tc.Tenant, tc.req = rt.ID, rt.Tenant, rt
-			}
-		}
-		ctx.FinishObj = tc
-	}
-	return exec.Run(q.plan, ctx)
+// QueryContext is Query under governance, over sn's pinned state (nil
+// selects the live store): the run observes ctx's cancellation and
+// deadline, and limits' resource budgets (zero limits = unlimited). A
+// pre-canceled or pre-expired ctx fails here, before the plan cache or
+// storage is touched. With a Background context and zero limits the
+// limiter is nil and the path is identical to Query. A snapshot compiles
+// through its own plan cache and statistics memo.
+func (e *Engine) QueryContext(cctx context.Context, sn *Snapshot, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
+	return e.viewOf(sn).query(cctx, doc, expr, limits)
 }
 
-// queryFinished is the serving path's iterator finish hook: it closes out
-// the query's latency observation, slow-query record, and sampled trace.
-func (e *Engine) queryFinished(it *exec.Iterator) {
-	total := time.Since(it.StartTime())
-	obs.QueryLatency.Observe(total)
-	var (
-		expr string
-		hit  bool
-		tc   *TraceContext
-	)
-	switch o := it.FinishObj().(type) {
-	case *TraceContext:
-		tc = o
-		expr, hit = o.Expr, o.CacheHit
-		tc.Total = total
-		tc.Results = it.Results()
-		tc.Err = it.Err()
-		if lim := it.Limiter(); lim != nil {
-			tc.PagesRead = lim.PagesRead()
-			tc.RecordsDecoded = lim.DecodedRecords()
-			tc.NodeCacheHits = lim.NodeCacheHits()
-		}
-		if tc.traced {
-			tc.DocName = e.store.DocName(tc.Doc)
-			tc.Root = buildSpanTree(tc.q.plan, it.StepSpans(), it.Results(), int64(total))
-		}
-	case *Query:
-		// The unsampled cache-hit fast path carries the shared Query.
-		expr, hit = o.expr, true
+// viewOf returns sn's read view, or the live view when sn is nil.
+func (e *Engine) viewOf(sn *Snapshot) *view {
+	if sn == nil {
+		return &e.live
 	}
-	// Fold the run's actual per-step cardinalities against the plan's
-	// estimates — every query feeds the cost observatory, not only the
-	// sampled ones. Allocation-free on the steady path.
-	var worstOp *plan.Step
-	var worstQ float64
-	if e.cost != nil {
-		worstOp, worstQ = e.cost.fold(it, it.Doc(), expr)
-	}
-	if e.slow != nil && total >= e.slow.threshold {
-		obs.SlowQueries.Inc()
-		sq := SlowQuery{
-			Expr:     expr,
-			Doc:      it.Doc(),
-			Start:    it.StartTime(),
-			Total:    total,
-			Results:  it.Results(),
-			CacheHit: hit,
-			Err:      it.Err(),
-		}
-		if lim := it.Limiter(); lim != nil {
-			sq.PagesRead = lim.PagesRead()
-			sq.RecordsDecoded = lim.DecodedRecords()
-			sq.NodeCacheHits = lim.NodeCacheHits()
-		}
-		if tc != nil && tc.traced {
-			sq.TraceID = tc.ID
-		}
-		// Name the worst-misestimated operator so a slow query points
-		// straight at the cost-model miss that may have caused it.
-		if worstOp != nil && worstQ >= 2 {
-			sq.WorstOp = worstOp.Label()
-			sq.WorstQErr = worstQ
-		}
-		e.slow.record(sq)
-	}
-	if tc != nil && tc.traced {
-		if tc.req != nil {
-			tc.req.Captured = tc.Export()
-		} else if e.flight != nil {
-			e.flight.record(tc.Export())
-		}
-	}
-	if tc != nil && tc.sampled && e.traceSink != nil {
-		e.traceSink(tc)
-	}
+	return &sn.view
 }
 
 // EnableFlightRecorder turns the flight recorder on (or resizes it)
@@ -627,50 +480,15 @@ func (q *Query) ExplainAnalyze(doc mass.DocID) (string, error) {
 }
 
 // RunContext executes the compiled query with every run parameter
-// explicit: the store to read (nil selects the engine's live store;
-// snapshot runs pass the snapshot's frozen store), the initial context
-// node ("" selects the document root), variable bindings, document-order
-// delivery, and governance. All Execute variants are shorthands for it.
-func (q *Query) RunContext(ctx context.Context, st *mass.Store, doc mass.DocID, start flex.Key, vars map[string][]flex.Key, ordered bool, limits govern.Limits) (*exec.Iterator, error) {
+// explicit: the snapshot to read (nil selects the engine's live store),
+// the initial context node ("" selects the document root), variable
+// bindings, document-order delivery, and governance. The run finishes
+// through the same hook as Engine.QueryContext, so it is timed, folded
+// into the cost observatory, slow-logged and traced alike.
+func (q *Query) RunContext(ctx context.Context, sn *Snapshot, doc mass.DocID, start flex.Key, vars map[string][]flex.Key, ordered bool, limits govern.Limits) (*exec.Iterator, error) {
+	t0 := time.Now()
 	if err := govern.CheckContext(ctx); err != nil {
 		return nil, err
 	}
-	if st == nil {
-		st = q.engine.store
-	}
-	return exec.Run(q.plan, exec.Context{Store: st, Doc: doc, Start: start, Vars: vars, Ordered: ordered, Ctx: ctx, Limits: limits, Batch: q.engine.execBatch})
-}
-
-// Execute runs the query against doc with the document root as initial
-// context.
-func (q *Query) Execute(doc mass.DocID) (*exec.Iterator, error) {
-	return q.ExecuteContext(context.Background(), doc, govern.Limits{})
-}
-
-// ExecuteContext is Execute under governance (see Engine.QueryContext).
-func (q *Query) ExecuteContext(ctx context.Context, doc mass.DocID, limits govern.Limits) (*exec.Iterator, error) {
-	return q.RunContext(ctx, nil, doc, "", nil, false, limits)
-}
-
-// ExecuteOrdered runs the query and delivers the result set in document
-// order (materializing it first; use Execute for pipelined delivery).
-func (q *Query) ExecuteOrdered(doc mass.DocID) (*exec.Iterator, error) {
-	return q.ExecuteOrderedContext(context.Background(), doc, govern.Limits{})
-}
-
-// ExecuteOrderedContext is ExecuteOrdered under governance.
-func (q *Query) ExecuteOrderedContext(ctx context.Context, doc mass.DocID, limits govern.Limits) (*exec.Iterator, error) {
-	return q.RunContext(ctx, nil, doc, "", nil, true, limits)
-}
-
-// ExecuteFrom runs the query with an explicit initial context node — the
-// XQuery-style context feeding of paper §V-A — and optional variable
-// bindings.
-func (q *Query) ExecuteFrom(doc mass.DocID, start flex.Key, vars map[string][]flex.Key) (*exec.Iterator, error) {
-	return q.ExecuteFromContext(context.Background(), doc, start, vars, govern.Limits{})
-}
-
-// ExecuteFromContext is ExecuteFrom under governance.
-func (q *Query) ExecuteFromContext(ctx context.Context, doc mass.DocID, start flex.Key, vars map[string][]flex.Key, limits govern.Limits) (*exec.Iterator, error) {
-	return q.RunContext(ctx, nil, doc, start, vars, false, limits)
+	return q.engine.viewOf(sn).run(ctx, q, true, t0, doc, start, vars, ordered, limits)
 }

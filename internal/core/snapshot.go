@@ -1,16 +1,10 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"sync/atomic"
-	"time"
 
 	"vamana/internal/cost"
-	"vamana/internal/exec"
-	"vamana/internal/govern"
 	"vamana/internal/mass"
-	"vamana/internal/obs"
 )
 
 // Snapshots and transactions at the engine layer. An engine Snapshot
@@ -31,21 +25,8 @@ const snapshotPlanCacheSize = 64
 // counterparts but observe the snapshot's state; mutations are rejected
 // by the underlying read-only store.
 type Snapshot struct {
-	e  *Engine
+	view
 	ms *mass.Snapshot
-	st *mass.Store // ms.Store(), cached
-	// probes and plans are private to the snapshot: its epochs are
-	// frozen, so entries stay valid for the snapshot's whole life.
-	probes *cost.MemoProbes
-	plans  *planCache
-	// finishFn is the iterator finish hook, bound once so the per-query
-	// path does not allocate a method value.
-	finishFn func(*exec.Iterator)
-
-	queries atomic.Uint64
-	results atomic.Uint64
-	pages   atomic.Uint64
-	records atomic.Uint64
 }
 
 // SnapshotUsage aggregates the work served from one snapshot.
@@ -58,15 +39,17 @@ type SnapshotUsage struct {
 
 // Snapshot freezes the engine's current committed state. The returned
 // snapshot must be Closed; queries still streaming when Close is called
-// keep the underlying view pinned until they finish.
+// keep the underlying view pinned until they finish. Its plans compile
+// against private caches: the snapshot's epochs are frozen, so entries
+// stay valid for the snapshot's whole life.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	ms, err := e.store.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	st := ms.Store()
-	sn := &Snapshot{e: e, ms: ms, st: st, probes: cost.NewMemoProbes(st), plans: newPlanCache(snapshotPlanCacheSize)}
-	sn.finishFn = sn.queryFinished
+	sn := &Snapshot{ms: ms}
+	sn.init(e, st, newPlanCache(snapshotPlanCacheSize), cost.NewMemoProbes(st), new(usageCounters))
 	return sn, nil
 }
 
@@ -78,12 +61,11 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // commits for every document the commit did not touch — a writer
 // updating one document does not evict every other document's plans.
 // Entries stay epoch-validated, so even a snapshot gone stale compiles
-// correct (merely conservative) plans.
+// correct (merely conservative) plans. Nothing reads a shared snapshot's
+// usage, so it keeps none.
 func (e *Engine) wrapShared(ms *mass.Snapshot) *Snapshot {
-	st := ms.Store()
-	// plans is nil when caching is disabled; compile-per-call then.
-	sn := &Snapshot{e: e, ms: ms, st: st, probes: e.probes, plans: e.plans}
-	sn.finishFn = sn.queryFinished
+	sn := &Snapshot{ms: ms}
+	sn.init(e, ms.Store(), e.plans, e.probes, nil)
 	return sn
 }
 
@@ -105,13 +87,18 @@ func (sn *Snapshot) TryRef() bool { return sn.ms.TryRef() }
 // Unref releases a reference taken with TryRef.
 func (sn *Snapshot) Unref() { sn.ms.Unref() }
 
-// Usage reports the cumulative work served from this snapshot.
+// Usage reports the cumulative work served from this snapshot (zero for
+// shared auto-snapshots, which keep no usage).
 func (sn *Snapshot) Usage() SnapshotUsage {
+	u := sn.usage
+	if u == nil {
+		return SnapshotUsage{}
+	}
 	return SnapshotUsage{
-		Queries:        sn.queries.Load(),
-		Results:        sn.results.Load(),
-		PagesRead:      sn.pages.Load(),
-		RecordsDecoded: sn.records.Load(),
+		Queries:        u.queries.Load(),
+		Results:        u.results.Load(),
+		PagesRead:      u.pages.Load(),
+		RecordsDecoded: u.records.Load(),
 	}
 }
 
@@ -119,103 +106,6 @@ func (sn *Snapshot) Usage() SnapshotUsage {
 // while iterators opened from it are still streaming (the view stays
 // pinned until the last one finishes).
 func (sn *Snapshot) Close() error { return sn.ms.Close() }
-
-// Query is the snapshot's serving path: Engine.Query against the frozen
-// state.
-func (sn *Snapshot) Query(doc mass.DocID, expr string) (*exec.Iterator, error) {
-	return sn.QueryContext(context.Background(), doc, expr, govern.Limits{})
-}
-
-// QueryContext is Engine.QueryContext against the frozen state. Plans
-// compile against the snapshot's statistics and land in its private
-// cache, where they stay valid forever (the snapshot's epochs are
-// frozen). Every run is accounted so Usage can report storage work.
-func (sn *Snapshot) QueryContext(cctx context.Context, doc mass.DocID, expr string, limits govern.Limits) (*exec.Iterator, error) {
-	start := time.Now()
-	if err := govern.CheckContext(cctx); err != nil {
-		return nil, err
-	}
-	q, hit, err := sn.e.compileCachedOn(sn.plans, sn.st, sn.probes, doc, expr, true)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		obs.QueriesServedCached.Inc()
-	} else {
-		obs.QueriesCompiled.Inc()
-	}
-	ctx := exec.Context{
-		Store:       sn.st,
-		Doc:         doc,
-		Ctx:         cctx,
-		Limits:      limits,
-		OnFinish:    sn.finishFn,
-		FinishStart: start,
-		FinishObj:   q,
-		Batch:       sn.e.execBatch,
-		Account:     true,
-	}
-	// Mirror the engine path's flight-recorder tracing: after the first
-	// Update the serving read path runs through shared snapshots, and
-	// request traces must keep working there. Snapshots share the
-	// engine's recorder and trace-ID sequence.
-	traced := sn.e.flight != nil
-	ctx.Trace = traced
-	if traced {
-		tc := &TraceContext{
-			ID:       sn.e.traceSeq.Add(1),
-			Expr:     expr,
-			Doc:      doc,
-			Start:    start,
-			CacheHit: hit,
-			Compile:  time.Since(start),
-			traced:   true,
-			q:        q,
-		}
-		if rt := requestTraceFrom(cctx); rt != nil {
-			tc.Request, tc.Tenant, tc.req = rt.ID, rt.Tenant, rt
-		}
-		ctx.FinishObj = tc
-	}
-	return exec.Run(q.plan, ctx)
-}
-
-// queryFinished folds a finished snapshot query into the usage counters
-// and, when the run was traced, assembles and records its span tree the
-// way Engine.queryFinished does.
-func (sn *Snapshot) queryFinished(it *exec.Iterator) {
-	total := time.Since(it.StartTime())
-	obs.QueryLatency.Observe(total)
-	sn.queries.Add(1)
-	sn.results.Add(it.Results())
-	lim := it.Limiter()
-	if lim != nil {
-		sn.pages.Add(lim.PagesRead())
-		sn.records.Add(lim.DecodedRecords())
-	}
-	tc, ok := it.FinishObj().(*TraceContext)
-	if !ok {
-		return
-	}
-	tc.Total = total
-	tc.Results = it.Results()
-	tc.Err = it.Err()
-	if lim != nil {
-		tc.PagesRead = lim.PagesRead()
-		tc.RecordsDecoded = lim.DecodedRecords()
-		tc.NodeCacheHits = lim.NodeCacheHits()
-	}
-	if !tc.traced {
-		return
-	}
-	tc.DocName = sn.st.DocName(tc.Doc)
-	tc.Root = buildSpanTree(tc.q.plan, it.StepSpans(), it.Results(), int64(total))
-	if tc.req != nil {
-		tc.req.Captured = tc.Export()
-	} else if sn.e.flight != nil {
-		sn.e.flight.record(tc.Export())
-	}
-}
 
 // Update runs fn inside a write transaction: all mutations made through
 // the passed mass.Update become visible atomically when fn returns nil,

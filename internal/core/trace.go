@@ -50,9 +50,10 @@ func requestTraceFrom(ctx context.Context) *RequestTrace {
 }
 
 // TraceContext is a per-query execution trace, produced for 1-in-N
-// Engine.Query calls when sampling is configured (Options.TraceEvery).
-// Sampled queries carry their TraceContext through the iterator's finish
-// hook; unsampled cache-hit queries allocate nothing.
+// queries on any read path when sampling is configured
+// (Options.TraceEvery). Sampled queries carry their TraceContext through
+// the iterator's finish hook; unsampled cache-hit queries allocate
+// nothing.
 type TraceContext struct {
 	// ID is the engine-assigned trace sequence number, unique per engine
 	// lifetime; the slow-query ring references it to link a slow entry to

@@ -34,12 +34,13 @@ import (
 
 // Store is a MASS database: a set of indexed XML documents.
 type Store struct {
-	// writer serializes mutators at the operation level (legacy per-op
-	// mutations) or transaction level (an Update holds it from Begin to
-	// Commit/Rollback), and is ordered strictly before mu: a goroutine
-	// may take mu while holding writer, never the reverse. Readers never
-	// touch it, so queries keep flowing while a writer works — they
-	// contend only on the short mu critical sections.
+	// writer serializes mutators at the operation level (document loads
+	// and drops, and the store-level per-op mutators) or transaction
+	// level (an Update holds it from Begin to Commit/Rollback), and is
+	// ordered strictly before mu: a goroutine may take mu while holding
+	// writer, never the reverse. Readers never touch it, so queries keep
+	// flowing while a writer works — they contend only on the short mu
+	// critical sections.
 	writer sync.Mutex
 	mu     sync.Mutex
 	pg     *pager.Pager
@@ -80,10 +81,11 @@ type Store struct {
 	//
 	// gen counts mutations — every one, including those buffered inside
 	// an open transaction — and drives the publish short-circuit.
-	// commitGen counts changes to the *committed* state only: legacy
-	// per-op mutations and transaction commits advance it; buffered
-	// transaction writes do not (inTxn, guarded by mu, tells the two
-	// apart). Lock-free reads of commitGen let DB.Query test whether a
+	// commitGen counts changes to the *committed* state only:
+	// transaction commits, document loads and drops, and the store's
+	// own per-operation mutators (outside a transaction) advance it;
+	// buffered transaction writes do not (inTxn, guarded by mu, tells
+	// the two apart). Lock-free reads of commitGen let DB.Query test whether a
 	// shared snapshot still equals the latest committed version — during
 	// an open transaction it does, however many writes the transaction
 	// has buffered. publishedGen/pubValid record the generation whose
@@ -583,8 +585,8 @@ func (s *Store) bumpEpochLocked(d DocID) {
 func (s *Store) Gen() uint64 { return s.gen.Load() }
 
 // CommitGen returns the store's commit generation: it advances exactly
-// when the committed state changes (per-op mutations, transaction
-// commits, document loads and drops). Lock-free, so the serving path can
+// when the committed state changes (transaction commits, document loads
+// and drops, and store-level per-op mutations). Lock-free, so the serving path can
 // test a shared snapshot's freshness with one atomic load.
 func (s *Store) CommitGen() uint64 { return s.commitGen.Load() }
 
@@ -592,11 +594,14 @@ func (s *Store) CommitGen() uint64 { return s.commitGen.Load() }
 // mutation, dropping cached plans and memoized probes derived from it.
 // The cost-calibration feedback loop calls this when a correction factor
 // drifts far enough that plans costed under the old factor should be
-// re-optimized on their next lookup.
+// re-optimized on their next lookup. The committed data is unchanged,
+// so the commit generation stays put: a calibration bump never marks a
+// shared snapshot stale.
 func (s *Store) BumpEpoch(d DocID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bumpEpochLocked(d)
+	s.epochs[d]++
+	s.gen.Add(1)
 }
 
 // DocID resolves a document name.

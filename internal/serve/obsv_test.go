@@ -330,7 +330,8 @@ func TestTenantCumulativeStats(t *testing.T) {
 // lands in the flight recorder as a single combined trace — serve-layer
 // spans (admission, prepare, ttfb, stream) nested above the engine's
 // operator span tree, stamped with the wire request ID and tenant, and
-// exportable as one Chrome-trace timeline.
+// exportable as one Chrome-trace timeline — whether its plan came from
+// the cache or its tenant was over the plan quota.
 func TestRequestTraceNesting(t *testing.T) {
 	checkGoroutines(t)
 	db, err := vamana.Open(vamana.Options{FlightRecorderSize: 8})
@@ -341,29 +342,59 @@ func TestRequestTraceNesting(t *testing.T) {
 	if _, err := db.LoadXMLString("lib", "<lib><a><b/></a><a><b/></a></lib>"); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{DB: db})
+	s, ts := newTestServer(t, Config{
+		DB: db,
+		Tenants: map[string]TenantConfig{
+			"capped": {PlanQuota: 1},
+		},
+	})
+	get := func(id, tenant, expr string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/query?doc=lib&q="+expr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "" {
+			req.Header.Set(RequestHeader, id)
+		}
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+	}
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/query?doc=lib&q=//b", nil)
-	if err != nil {
-		t.Fatal(err)
+	// A cached request, and one over its tenant's plan quota: the latter
+	// compiles a throwaway plan and runs it through Prepare→Run, which
+	// must join the request trace just the same.
+	get("", "capped", "//a") // fills the one-plan quota
+	for _, c := range []struct{ id, tenant string }{
+		{"trace-nest-1", "tracer"},
+		{"trace-nest-over-quota", "capped"},
+	} {
+		get(c.id, c.tenant, "//b")
+		checkRequestTrace(t, db, c.id, c.tenant)
 	}
-	req.Header.Set(RequestHeader, "trace-nest-1")
-	req.Header.Set(TenantHeader, "tracer")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if got := s.Stats().Tenants["capped"].PlansCached; got != 1 {
+		t.Fatalf("capped tenant cached %d plans, want 1 (the //b request was not over quota)", got)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
+}
 
+// checkRequestTrace asserts the flight recorder holds one combined
+// trace for request id: serve-layer spans nesting the engine's operator
+// tree, exportable to Chrome with the wire ID.
+func checkRequestTrace(t *testing.T, db *vamana.DB, id, tenant string) {
+	t.Helper()
 	// The combined trace is recorded by a deferred handler after the
 	// response completes.
 	var tr *vamana.QueryTrace
 	waitFor(t, "combined trace in the flight recorder", func() bool {
 		for _, c := range db.RecentTraces() {
-			if c.Request == "trace-nest-1" {
+			if c.Request == id {
 				tr = c
 				return true
 			}
@@ -371,14 +402,14 @@ func TestRequestTraceNesting(t *testing.T) {
 		return false
 	})
 
-	if tr.Tenant != "tracer" {
+	if tr.Tenant != tenant {
 		t.Fatalf("trace tenant = %q", tr.Tenant)
 	}
 	root := tr.Root
 	if root == nil || root.Name != "request" || root.Kind != "serve" {
 		t.Fatalf("trace root = %+v, want the serve-layer request span", root)
 	}
-	if root.Attrs["request"] != "trace-nest-1" || root.Attrs["tenant"] != "tracer" ||
+	if root.Attrs["request"] != id || root.Attrs["tenant"] != tenant ||
 		root.Attrs["outcome"] != OutcomeOK {
 		t.Fatalf("request span attrs = %v", root.Attrs)
 	}
@@ -415,7 +446,7 @@ func TestRequestTraceNesting(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := chrome.String()
-	for _, want := range []string{"trace-nest-1", `"request"`, `"admission"`, `"stream"`} {
+	for _, want := range []string{id, `"request"`, `"admission"`, `"stream"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("chrome export missing %s:\n%s", want, out)
 		}

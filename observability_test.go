@@ -96,7 +96,7 @@ func TestExplainAnalyzeActualsMatchQuery(t *testing.T) {
 	resultsRe := regexp.MustCompile(`(?m)^results: (\d+)$`)
 	for i, expr := range exprs {
 		want := drainCount(t, db, doc, expr)
-		q, err := db.CompileOptimized(doc, expr)
+		q, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 		if err != nil {
 			t.Fatalf("Q%d compile: %v", i+1, err)
 		}
@@ -171,9 +171,16 @@ func TestPlanCacheEvictionConcurrent(t *testing.T) {
 						errs <- fmt.Errorf("%s under load: got %d results, want %d", expr, n, want)
 						return
 					}
-				} else if _, err := db.CompileCached(doc, expr, g%2 == 0); err != nil {
-					errs <- err
-					return
+				} else {
+					// Alternate optimized and default-plan compiles.
+					opts := []CompileOption{WithDocument(doc)}
+					if g%2 != 0 {
+						opts = append(opts, WithoutOptimization())
+					}
+					if _, err := db.Prepare(expr, opts...); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}
 		}(g)

@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -49,7 +50,7 @@ func TestQueryServing(t *testing.T) {
 
 	// Deleting a matching subtree must invalidate the cached plan and the
 	// re-served result set must shrink.
-	if err := doc.DeleteSubtree(want[0]); err != nil {
+	if err := db.Update(func(tx *Txn) error { return tx.DeleteSubtree(doc, want[0]) }); err != nil {
 		t.Fatal(err)
 	}
 	res, err = db.Query(doc, expr)
@@ -85,11 +86,11 @@ func TestQueryServingConcurrent(t *testing.T) {
 	const expr = "//person[address]/name"
 	want := make(map[*Document][]string)
 	for _, d := range []*Document{d1, d2} {
-		q, err := db.CompileOptimized(d, expr)
+		q, err := db.Prepare(expr, WithDocument(d), WithoutCache())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := q.Execute(d)
+		res, err := q.Run(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestQueryServingConcurrent(t *testing.T) {
 func TestSharedQueryConcurrentExplain(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.003)
-	q, err := db.CompileOptimized(doc, "//person/address")
+	q, err := db.Prepare("//person/address", WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestSharedQueryConcurrentExplain(t *testing.T) {
 				_, err = q.ExplainAnalyze(doc)
 			case 2:
 				var res *Results
-				if res, err = q.Execute(doc); err == nil {
+				if res, err = q.Run(context.Background(), doc); err == nil {
 					_, err = res.Keys()
 				}
 			}

@@ -18,11 +18,13 @@ import (
 // mutations become visible atomically on commit, made durable with one
 // group-committed journal flush shared by concurrent committers.
 //
-// DB.Query and friends are auto-snapshot wrappers: when a recent commit
-// installed a shared snapshot they serve from it (so a long result stream
-// never observes a concurrent writer mid-flight), and otherwise they read
-// the live store directly, which is equivalent because each individual
-// read path is internally consistent.
+// DB.Query, Query.Run and direct Document reads are auto-snapshot
+// wrappers: once DB.Update has installed a shared snapshot they serve
+// from it (so no read observes an open transaction's buffered writes,
+// and a long result stream never observes a concurrent writer), and
+// before that they read the live store directly, which is equivalent
+// while no transaction has ever run. Document.readFrom makes that
+// choice for every read.
 
 var (
 	// ErrDocumentBusy reports a Drop refused because open snapshots or
@@ -95,33 +97,20 @@ func (sn *Snapshot) Query(doc *Document, expr string) (*Results, error) {
 	return sn.QueryContext(context.Background(), doc, expr)
 }
 
-// QueryContext is DB.QueryContext against the snapshot's pinned version.
-// Plans compile against the snapshot's frozen statistics and stay cached
-// for the snapshot's whole life — a snapshot keeps serving cached plans
-// however hard the live store is updated underneath.
+// QueryContext is DB.QueryContext against the snapshot's pinned version,
+// whichever handle doc is: the result stream's document handle is bound
+// to the snapshot so StringValue and friends read the same pinned
+// version the results came from. Plans compile against the snapshot's
+// frozen statistics and stay cached for the snapshot's whole life — a
+// snapshot keeps serving cached plans however hard the live store is
+// updated underneath.
 func (sn *Snapshot) QueryContext(ctx context.Context, doc *Document, expr string, opts ...QueryOption) (*Results, error) {
-	if sn.closed.Load() {
-		return nil, ErrSnapshotClosed
-	}
-	cfg := sn.db.config(opts)
-	return sn.queryContext(ctx, doc, expr, cfg)
-}
-
-// queryContext runs one query on the snapshot, rebinding the result
-// stream's document handle to the snapshot so StringValue and friends
-// read the same pinned version the results came from.
-func (sn *Snapshot) queryContext(ctx context.Context, doc *Document, expr string, cfg queryConfig) (*Results, error) {
-	it, err := sn.cs.QueryContext(ctx, doc.id, expr, cfg.limits)
-	if err != nil {
-		return nil, err
-	}
-	rdoc := doc
-	if rdoc.snap != sn {
+	if doc.snap != sn {
 		c := *doc
 		c.snap = sn
-		rdoc = &c
+		doc = &c
 	}
-	return &Results{doc: rdoc, it: it}, nil
+	return sn.db.QueryContext(ctx, doc, expr, opts...)
 }
 
 // Close releases the snapshot. Idempotent; safe while result streams
@@ -144,13 +133,13 @@ func (db *DB) acquireShared() *core.Snapshot {
 		return nil
 	}
 	if sn.Gen() < db.engine.Store().CommitGen() {
-		// Stale — a legacy per-op mutator committed past it. (Writes
-		// buffered inside an open Update do not advance CommitGen, so the
-		// snapshot keeps serving the latest committed state throughout a
+		// Stale — a document load committed past it. (Writes buffered
+		// inside an open Update do not advance CommitGen, so the snapshot
+		// keeps serving the latest committed state throughout a
 		// transaction, and commits install their replacement before the
 		// generation moves.) Uninstall so its pinned pages reclaim;
-		// queries fall back to direct reads until the next Update
-		// installs a fresh one.
+		// reads fall back to the live store, which no transaction is
+		// writing, until the next Update installs a fresh one.
 		if db.shared.CompareAndSwap(sn, nil) {
 			sn.Close()
 		}
@@ -243,40 +232,74 @@ func (db *DB) Update(fn func(*Txn) error) error {
 // transaction's mutation methods.
 func (t *Txn) Document(name string) (*Document, error) { return t.db.Document(name) }
 
+// target resolves the document a mutation applies to. Snapshot-bound
+// handles are read-only: a mutation through one fails with
+// ErrReadOnlySnapshot instead of silently writing the live document.
+func target(d *Document) (mass.DocID, error) {
+	if d.snap != nil {
+		return 0, ErrReadOnlySnapshot
+	}
+	return d.id, nil
+}
+
 // InsertElement inserts a new element named name as a content child of
 // the node at parentKey in d, at position pos among existing content
 // children (negative or past-the-end appends). It returns the new
 // node's FLEX key. Indexes and statistics update within the
 // transaction; other readers see nothing until commit.
 func (t *Txn) InsertElement(d *Document, parentKey string, pos int, name string) (string, error) {
-	k, err := t.u.InsertElement(d.id, flexKey(parentKey), pos, name)
+	id, err := target(d)
+	if err != nil {
+		return "", err
+	}
+	k, err := t.u.InsertElement(id, flexKey(parentKey), pos, name)
 	return string(k), err
 }
 
 // InsertText inserts a new text node under parentKey (see InsertElement).
 func (t *Txn) InsertText(d *Document, parentKey string, pos int, value string) (string, error) {
-	k, err := t.u.InsertText(d.id, flexKey(parentKey), pos, value)
+	id, err := target(d)
+	if err != nil {
+		return "", err
+	}
+	k, err := t.u.InsertText(id, flexKey(parentKey), pos, value)
 	return string(k), err
 }
 
 // InsertAttribute adds an attribute to the element at ownerKey in d.
 func (t *Txn) InsertAttribute(d *Document, ownerKey, name, value string) (string, error) {
-	k, err := t.u.InsertAttribute(d.id, flexKey(ownerKey), name, value)
+	id, err := target(d)
+	if err != nil {
+		return "", err
+	}
+	k, err := t.u.InsertAttribute(id, flexKey(ownerKey), name, value)
 	return string(k), err
 }
 
 // UpdateText replaces the value of a text or attribute node, keeping the
 // value index (TC statistics) exact.
 func (t *Txn) UpdateText(d *Document, key, newValue string) error {
-	return t.u.UpdateText(d.id, flexKey(key), newValue)
+	id, err := target(d)
+	if err != nil {
+		return err
+	}
+	return t.u.UpdateText(id, flexKey(key), newValue)
 }
 
 // RenameElement changes an element's name, maintaining the name index.
 func (t *Txn) RenameElement(d *Document, key, newName string) error {
-	return t.u.RenameElement(d.id, flexKey(key), newName)
+	id, err := target(d)
+	if err != nil {
+		return err
+	}
+	return t.u.RenameElement(id, flexKey(key), newName)
 }
 
 // DeleteSubtree removes the node at key in d and its entire subtree.
 func (t *Txn) DeleteSubtree(d *Document, key string) error {
-	return t.u.DeleteSubtree(d.id, flexKey(key))
+	id, err := target(d)
+	if err != nil {
+		return err
+	}
+	return t.u.DeleteSubtree(id, flexKey(key))
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -112,8 +113,9 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadOnlyPublic: mutation through a snapshot-bound handle
-// fails with the typed error; queries on a closed snapshot fail too.
+// TestSnapshotReadOnlyPublic: a transaction mutation through a
+// snapshot-bound handle fails with the typed error and leaves the live
+// document untouched; queries on a closed snapshot fail too.
 func TestSnapshotReadOnlyPublic(t *testing.T) {
 	db := openDB(t)
 	if _, err := db.LoadXMLString("lib", snapXML); err != nil {
@@ -127,11 +129,22 @@ func TestSnapshotReadOnlyPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sdoc.InsertElement("a", -1, "x"); !errors.Is(err, ErrReadOnlySnapshot) {
+	live, err := db.Document("lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := xmlOf(t, live)
+	if err := db.Update(func(tx *Txn) error {
+		_, err := tx.InsertElement(sdoc, "a", -1, "x")
+		return err
+	}); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("InsertElement on snapshot: %v", err)
 	}
-	if err := sdoc.DeleteSubtree("a.b"); !errors.Is(err, ErrReadOnlySnapshot) {
+	if err := db.Update(func(tx *Txn) error { return tx.DeleteSubtree(sdoc, "a.b") }); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("DeleteSubtree on snapshot: %v", err)
+	}
+	if got := xmlOf(t, live); got != base {
+		t.Fatalf("rejected snapshot mutations changed the live document:\n got %s\nwant %s", got, base)
 	}
 	sn.Close()
 	if _, err := sn.Query(sdoc, "//book"); !errors.Is(err, ErrSnapshotClosed) {
@@ -270,8 +283,9 @@ func TestDropBusyPublic(t *testing.T) {
 	}
 }
 
-// TestPrepareRunEquivalence: the consolidated Prepare/Run surface and
-// the deprecated compile/execute methods produce identical results.
+// TestPrepareRunEquivalence: every Prepare/Run variant — cached or
+// uncached, optimized or default plan, ordered, from an explicit context
+// node — agrees with the serving path DB.Query.
 func TestPrepareRunEquivalence(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.01)
@@ -301,39 +315,51 @@ func TestPrepareRunEquivalence(t *testing.T) {
 		}
 	}
 
-	// Prepare default == CompileCached optimized; plan shape matches the
-	// deprecated CompileOptimized.
-	qNew, err := db.Prepare(expr, WithDocument(doc))
+	// The serving path's answer is the reference every Prepare/Run
+	// variant must reproduce.
+	want := keysOf(db.Query(doc, expr))
+	if len(want) == 0 {
+		t.Fatal("no results in fixture")
+	}
+
+	// Cached and uncached optimized compiles run identically.
+	qCached, err := db.Prepare(expr, WithDocument(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qOld, err := db.CompileOptimized(doc, expr)
+	qFresh, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !qNew.Optimized() || !qOld.Optimized() {
+	if !qCached.Optimized() || !qFresh.Optimized() {
 		t.Fatal("optimizer did not run")
 	}
-	same(keysOf(qNew.Run(ctx, doc)), keysOf(qOld.Execute(doc)), "optimized run")
+	same(keysOf(qCached.Run(ctx, doc)), want, "optimized run")
+	same(keysOf(qFresh.Run(ctx, doc)), want, "uncached optimized run")
 
-	// WithoutOptimization == deprecated Compile.
-	qPlain, err := db.Prepare(expr, WithoutOptimization())
-	if err != nil {
-		t.Fatal(err)
+	// WithoutOptimization builds the default plan, cached or not; it
+	// delivers the same node set (pipeline order may differ).
+	ordered := append([]string(nil), want...)
+	sort.Strings(ordered) // FLEX keys sort in document order
+	for _, opts := range [][]CompileOption{
+		{WithoutOptimization()},
+		{WithoutOptimization(), WithoutCache()},
+		{WithDocument(doc), WithoutOptimization()},
+	} {
+		q, err := db.Prepare(expr, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Optimized() {
+			t.Fatal("WithoutOptimization still optimized")
+		}
+		same(keysOf(q.Run(ctx, doc, Ordered())), ordered, "default plan")
 	}
-	if qPlain.Optimized() {
-		t.Fatal("WithoutOptimization still optimized")
-	}
-	qDep, err := db.Compile(expr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same(keysOf(qPlain.Run(ctx, doc)), keysOf(qDep.Execute(doc)), "default plan")
 
-	// Run(Ordered()) == deprecated ExecuteOrdered.
-	same(keysOf(qNew.Run(ctx, doc, Ordered())), keysOf(qOld.ExecuteOrdered(doc)), "ordered")
+	// Run(Ordered()) delivers document order.
+	same(keysOf(qCached.Run(ctx, doc, Ordered())), ordered, "ordered")
 
-	// Run(From(...)) == deprecated ExecuteFrom.
+	// Run(From(...)) evaluates relative to the given context node.
 	people := keysOf(db.Query(doc, "/site/people/person"))
 	if len(people) == 0 {
 		t.Fatal("no people in fixture")
@@ -342,11 +368,13 @@ func TestPrepareRunEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same(
-		keysOf(qRel.Run(ctx, doc, From(people[0], nil))),
-		keysOf(qRel.ExecuteFrom(doc, people[0], nil)),
-		"from",
-	)
+	var own []string
+	for _, k := range want {
+		if strings.HasPrefix(k, people[0]+".") {
+			own = append(own, k)
+		}
+	}
+	same(keysOf(qRel.Run(ctx, doc, From(people[0], nil))), own, "from")
 
 	// Prepare caches: a second Prepare for the same (doc, expr) hits.
 	h0 := db.CacheStats().Hits

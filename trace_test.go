@@ -88,7 +88,7 @@ func TestSpanTreeInvariants(t *testing.T) {
 		// plan's cost annotations; a fresh Estimate of the same compiled
 		// query against the same statistics must agree operator by
 		// operator.
-		q, err := db.CompileOptimized(doc, expr)
+		q, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 		if err != nil {
 			t.Fatalf("Q%d compile: %v", i+1, err)
 		}

@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,28 +13,31 @@ func TestPublicUpdateAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := db.Compile("//shelf")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//shelf", WithoutOptimization(), WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	shelves, _ := res.Keys()
 	if len(shelves) != 1 {
 		t.Fatal("setup failed")
 	}
 	shelf := shelves[0]
 
-	// Build content via the update API alone.
+	// Build content via the update API alone, one transaction per book.
 	for i := 0; i < 10; i++ {
-		book, err := doc.InsertElement(shelf, -1, "book")
-		if err != nil {
-			t.Fatal(err)
-		}
-		title, err := doc.InsertElement(book, -1, "title")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := doc.InsertText(title, -1, "Systems Title"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := doc.InsertAttribute(book, "isbn", "900-"+string(rune('0'+i))); err != nil {
+		if err := db.Update(func(tx *Txn) error {
+			book, err := tx.InsertElement(doc, shelf, -1, "book")
+			if err != nil {
+				return err
+			}
+			title, err := tx.InsertElement(doc, book, -1, "title")
+			if err != nil {
+				return err
+			}
+			if _, err := tx.InsertText(doc, title, -1, "Systems Title"); err != nil {
+				return err
+			}
+			_, err = tx.InsertAttribute(doc, book, "isbn", "900-"+string(rune('0'+i)))
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,8 +49,8 @@ func TestPublicUpdateAPI(t *testing.T) {
 	}
 
 	// Queries see the new content, including attribute predicates.
-	qb, _ := db.CompileOptimized(doc, "//book[title='Systems Title']")
-	rb, _ := qb.Execute(doc)
+	qb, _ := db.Prepare("//book[title='Systems Title']", WithDocument(doc), WithoutCache())
+	rb, _ := qb.Run(context.Background(), doc)
 	books, err := rb.Keys()
 	if err != nil {
 		t.Fatal(err)
@@ -56,25 +60,25 @@ func TestPublicUpdateAPI(t *testing.T) {
 	}
 
 	// Update one title and delete one book.
-	qt, _ := db.Compile("//book[1]/title/text()")
-	rt, _ := qt.Execute(doc)
+	qt, _ := db.Prepare("//book[1]/title/text()", WithoutOptimization(), WithoutCache())
+	rt, _ := qt.Run(context.Background(), doc)
 	titles, _ := rt.Keys()
 	if len(titles) != 1 {
 		t.Fatalf("first book titles = %d", len(titles))
 	}
-	if err := doc.UpdateText(titles[0], "Revised Title"); err != nil {
+	if err := db.Update(func(tx *Txn) error { return tx.UpdateText(doc, titles[0], "Revised Title") }); err != nil {
 		t.Fatal(err)
 	}
 	if tc, _ := doc.TextCount("Systems Title"); tc != 9 {
 		t.Fatalf("TC after update = %d", tc)
 	}
-	if err := doc.DeleteSubtree(books[len(books)-1]); err != nil {
+	if err := db.Update(func(tx *Txn) error { return tx.DeleteSubtree(doc, books[len(books)-1]) }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := doc.CountName("book"); n != 9 {
 		t.Fatalf("books after delete = %d", n)
 	}
-	if err := doc.RenameElement(shelf, "case"); err != nil {
+	if err := db.Update(func(tx *Txn) error { return tx.RenameElement(doc, shelf, "case") }); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := doc.CountName("case"); n != 1 {
@@ -93,37 +97,42 @@ func TestOptimizerSeesUpdatedStatistics(t *testing.T) {
 	}
 	// Make "tag" vastly more common than "person": the parent-inversion
 	// rewrite of //tag/parent::person is then profitable.
-	q, _ := db.Compile("//dump")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//dump", WithoutOptimization(), WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	dumpKeys, _ := res.Keys()
 	dump := dumpKeys[0]
-	for i := 0; i < 200; i++ {
-		if _, err := doc.InsertElement(dump, -1, "tag"); err != nil {
+	insertN := func(name string) {
+		t.Helper()
+		if err := db.Update(func(tx *Txn) error {
+			for i := 0; i < 200; i++ {
+				if _, err := tx.InsertElement(doc, dump, -1, name); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	insertN("tag")
 
 	expr := "//tag/parent::person"
-	before, err := db.CompileOptimized(doc, expr)
+	before, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	exBefore, _ := before.Explain(doc)
 
 	// Results stay correct either way.
-	rb, _ := before.Execute(doc)
+	rb, _ := before.Run(context.Background(), doc)
 	kb, _ := rb.Keys()
 	if len(kb) != 1 {
 		t.Fatalf("persons with tag = %d", len(kb))
 	}
 
 	// Now invert the skew: many persons, few tags.
-	for i := 0; i < 200; i++ {
-		if _, err := doc.InsertElement(dump, -1, "person"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := db.CompileOptimized(doc, expr)
+	insertN("person")
+	after, err := db.Prepare(expr, WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestOptimizerSeesUpdatedStatistics(t *testing.T) {
 	if exBefore == exAfter {
 		t.Fatalf("optimizer ignored a 400-element statistics shift:\n%s", exAfter)
 	}
-	ra, _ := after.Execute(doc)
+	ra, _ := after.Run(context.Background(), doc)
 	ka, _ := ra.Keys()
 	if len(ka) != 1 {
 		t.Fatalf("persons with tag after updates = %d", len(ka))

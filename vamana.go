@@ -66,12 +66,6 @@ type Options struct {
 	// and tools that need to interpose on the database's I/O (e.g. fault
 	// injection, read-only snapshots).
 	Backend Backend
-	// DisableChecksumVerify opens the store without verifying per-page
-	// CRC32C checksums on reads (pages are still stamped on write). This
-	// trades corruption detection for a small per-read saving; it exists
-	// for benchmarking the checksum cost and for forensic salvage of a
-	// damaged store. Leave it false in production.
-	DisableChecksumVerify bool
 	// PlanCacheSize bounds the number of compiled query plans kept by the
 	// serving fast path (DB.Query). 0 selects the default of 256 plans;
 	// negative disables plan caching, making DB.Query compile on every
@@ -79,18 +73,18 @@ type Options struct {
 	// their document is updated (statistics-epoch based), so a hit is
 	// always as fresh as a recompile.
 	PlanCacheSize int
-	// SlowQueryThreshold records DB.Query calls at or above this
-	// end-to-end latency into the slow-query ring (DB.SlowQueries) and,
-	// when SlowQueryLog is set, as one line per query there. 0 disables
-	// slow-query tracking.
+	// SlowQueryThreshold records queries (DB.Query, Snapshot.Query,
+	// Query.Run) at or above this end-to-end latency into the slow-query
+	// ring (DB.SlowQueries) and, when SlowQueryLog is set, as one line
+	// per query there. 0 disables slow-query tracking.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog receives one line per slow query (e.g. os.Stderr or a
 	// log file). Ignored unless SlowQueryThreshold is set.
 	SlowQueryLog io.Writer
-	// TraceEvery samples a full TraceContext for 1 in N DB.Query calls
-	// (1 traces every query, 0 disables). When a query is not sampled the
-	// serving hot path allocates no trace state, so sampling bounds the
-	// observability overhead regardless of query rate.
+	// TraceEvery samples a full TraceContext for 1 in N queries on any
+	// read path (1 traces every query, 0 disables). When a query is not
+	// sampled the serving hot path allocates no trace state, so sampling
+	// bounds the observability overhead regardless of query rate.
 	TraceEvery int
 	// TraceSink receives each sampled trace after its query finishes.
 	TraceSink func(*TraceContext)
@@ -106,19 +100,6 @@ type Options struct {
 	// override it field by field; WithLimits replaces it. The zero value
 	// leaves every budget off.
 	DefaultLimits Limits
-	// ExecBatchSize sets the executor's pull-batch size: how many result
-	// tuples each operator hands its consumer per call (0 selects the
-	// built-in default, currently 128; 1 degenerates to tuple-at-a-time
-	// execution). Results are identical at every batch size — this knob
-	// exists for benchmarking the batch sweep and for differential
-	// testing, not for tuning production workloads.
-	ExecBatchSize int
-	// DisableCostObservatory turns off the cost-model observatory: the
-	// per-query fold of actual operator cardinalities against the
-	// optimizer's estimates (DB.CostProfile, /debug/vamana/cost). The
-	// fold is allocation-free and costs well under 1% of serving
-	// latency, so this knob exists for benchmark pairing, not tuning.
-	DisableCostObservatory bool
 	// CostCalibration enables the observatory's feedback loop: each
 	// operator class's observed estimation error feeds an EWMA
 	// correction factor that the cost estimator applies on subsequent
@@ -176,28 +157,46 @@ type DB struct {
 	engine   *core.Engine
 	defaults Limits
 	// shared is the auto-snapshot read path's current snapshot: installed
-	// by DB.Update commits, served (refcounted) by DB.Query while fresh,
-	// and dropped when a legacy per-op mutation makes it stale. Nil until
-	// the first transactional commit — queries then read the live store
-	// directly, which is equivalent while nothing is being batched.
+	// by DB.Update (before its function runs, and again by its commit)
+	// and served (refcounted) while fresh; see Document.readFrom. Nil
+	// until the first Update — reads then use the live store directly,
+	// which is equivalent while no transaction has ever buffered writes.
 	shared atomic.Pointer[core.Snapshot]
 }
 
+// benchKnobs are the benchmark-pairing switches kept off the public
+// Options: package tests open databases with them set (openWith) to pair
+// a feature against its absence. Results are identical either way.
+type benchKnobs struct {
+	// execBatch sets the executor's pull-batch size (0 selects the
+	// default; 1 is tuple-at-a-time execution).
+	execBatch int
+	// noCostObservatory turns off the cost-model observatory's
+	// per-query fold (DB.CostProfile then reports unavailable).
+	noCostObservatory bool
+	// noChecksumVerify skips per-page CRC32C verification on reads
+	// (pages are still stamped on write).
+	noChecksumVerify bool
+}
+
 // Open creates or reopens a database.
-func Open(opts Options) (*DB, error) {
+func Open(opts Options) (*DB, error) { return openWith(opts, benchKnobs{}) }
+
+// openWith is Open plus the benchmark-pairing knobs.
+func openWith(opts Options, k benchKnobs) (*DB, error) {
 	e, err := core.Open(core.Options{
 		Path:                   opts.Path,
 		CachePages:             opts.CachePages,
 		Backend:                opts.Backend,
-		DisableChecksumVerify:  opts.DisableChecksumVerify,
+		DisableChecksumVerify:  k.noChecksumVerify,
 		PlanCacheSize:          opts.PlanCacheSize,
 		SlowQueryThreshold:     opts.SlowQueryThreshold,
 		SlowQueryLog:           opts.SlowQueryLog,
 		TraceEvery:             opts.TraceEvery,
 		TraceSink:              opts.TraceSink,
 		FlightRecorderSize:     opts.FlightRecorderSize,
-		ExecBatch:              opts.ExecBatchSize,
-		DisableCostObservatory: opts.DisableCostObservatory,
+		ExecBatch:              k.execBatch,
+		DisableCostObservatory: k.noCostObservatory,
 		CostCalibration:        opts.CostCalibration,
 	})
 	if err != nil {
@@ -213,8 +212,9 @@ func (db *DB) Close() error {
 }
 
 // Document is a handle to one loaded document. A handle obtained from
-// DB reads the live store; one obtained from Snapshot.Document reads
-// that snapshot's pinned version and rejects mutation.
+// DB reads the latest committed state — never an open transaction's
+// buffered writes; one obtained from Snapshot.Document reads that
+// snapshot's pinned version, and transactions reject it as read-only.
 type Document struct {
 	db   *DB
 	id   mass.DocID
@@ -224,32 +224,37 @@ type Document struct {
 	snap *Snapshot
 }
 
-// readStore returns the store this handle reads from, plus a release to
-// call when the read finishes: the pinned snapshot store for
-// snapshot-bound handles; otherwise the shared committed snapshot when
-// one is installed — so direct reads never observe an open
-// transaction's buffered writes — falling back to the live store only
-// when no snapshot exists (in which case no transaction has ever run,
-// and DB.Update installs one before its function starts).
-func (d *Document) readStore() (*mass.Store, func()) {
+// readFrom is the one decision about which committed state a handle
+// reads — for queries, prepared runs and direct reads alike: the pinned
+// snapshot for snapshot-bound handles; otherwise the shared committed
+// snapshot when one is installed, so no read observes an open
+// transaction's buffered writes; otherwise nil, meaning the live store
+// (no snapshot exists, so no transaction has ever run — DB.Update
+// installs one before its function starts). When ref is true the caller
+// holds a reference on the shared snapshot and must Unref it once its
+// read, or its query's startup, is done.
+func (d *Document) readFrom() (sn *core.Snapshot, ref bool) {
 	if d.snap != nil {
-		return d.snap.cs.Store(), func() {}
+		return d.snap.cs, false
 	}
 	if sn := d.db.acquireShared(); sn != nil {
-		return sn.Store(), sn.Unref
+		return sn, true
 	}
-	return d.db.engine.Store(), func() {}
+	return nil, false
 }
 
-// writer returns the store mutations apply to. Snapshot-bound handles
-// get their read-only snapshot store, whose mutators fail with
-// ErrReadOnlySnapshot; live handles always mutate the live trees, never
-// the shared read snapshot.
-func (d *Document) writer() *mass.Store {
-	if d.snap != nil {
-		return d.snap.cs.Store()
+// readStore returns the store readFrom selects, plus a release to call
+// when the read finishes.
+func (d *Document) readStore() (*mass.Store, func()) {
+	sn, ref := d.readFrom()
+	switch {
+	case sn == nil:
+		return d.db.engine.Store(), func() {}
+	case ref:
+		return sn.Store(), sn.Unref
+	default:
+		return sn.Store(), func() {}
 	}
-	return d.db.engine.Store()
 }
 
 // LoadXML shreds and indexes the XML document from r under a unique name.
@@ -333,11 +338,11 @@ type Node struct {
 	Value string
 }
 
-// Query is a compiled XPath expression. Compile produces the default plan
-// (the paper's "VQP"); CompileOptimized runs the cost-driven optimizer
-// ("VQP-OPT"). A query may be executed many times and against any
-// document, though an optimized plan's rewrites were chosen using the
-// statistics of the document passed to CompileOptimized.
+// Query is a compiled XPath expression, made by Prepare: the default plan
+// (the paper's "VQP") without a document, or the cost-driven optimizer's
+// plan ("VQP-OPT") with WithDocument. A query may be run many times and
+// against any document, though an optimized plan's rewrites were chosen
+// using the statistics of the document passed to WithDocument.
 type Query struct {
 	q *core.Query
 }
@@ -406,23 +411,6 @@ func (db *DB) Prepare(expr string, opts ...CompileOption) (*Query, error) {
 	return &Query{q: q}, nil
 }
 
-// Compile parses expr into its default (unoptimized) query plan.
-//
-// Deprecated: use Prepare with WithoutOptimization and WithoutCache.
-func (db *DB) Compile(expr string) (*Query, error) {
-	return db.Prepare(expr, WithoutOptimization(), WithoutCache())
-}
-
-// CompileOptimized parses expr and optimizes its plan against doc's live
-// index statistics. The resulting plan is guaranteed to have estimated
-// cost no worse than the default plan's.
-//
-// Deprecated: use Prepare with WithDocument (add WithoutCache for the
-// exact uncached behavior of this method).
-func (db *DB) CompileOptimized(doc *Document, expr string) (*Query, error) {
-	return db.Prepare(expr, WithDocument(doc), WithoutCache())
-}
-
 // Query is the one-shot serving fast path: it compiles expr with the
 // cost-driven optimizer against doc's statistics and executes it, going
 // through the plan cache. The first call for a given (document,
@@ -439,19 +427,6 @@ func (db *DB) CompileOptimized(doc *Document, expr string) (*Query, error) {
 // or per-query budgets.
 func (db *DB) Query(doc *Document, expr string) (*Results, error) {
 	return db.QueryContext(context.Background(), doc, expr)
-}
-
-// CompileCached is DB.Query's compilation half without the execution: it
-// returns a (possibly cached) compiled query for expr.
-//
-// Deprecated: use Prepare — with WithDocument for optimized true, with
-// WithoutOptimization for optimized false.
-func (db *DB) CompileCached(doc *Document, expr string, optimized bool) (*Query, error) {
-	opts := []CompileOption{WithDocument(doc)}
-	if !optimized {
-		opts = append(opts, WithoutOptimization())
-	}
-	return db.Prepare(expr, opts...)
 }
 
 // CacheStats reports the serving fast path's effectiveness: plan-cache
@@ -501,7 +476,7 @@ type CostClassProfile = core.CostClassProfile
 type CostOffender = core.CostOffender
 
 // CostProfile returns the observatory's current snapshot. The second
-// return is false when Options.DisableCostObservatory was set.
+// return is false when the observatory is off (benchmark pairing only).
 func (db *DB) CostProfile() (CostProfile, bool) { return db.engine.CostProfile() }
 
 // MetricsHandler returns an HTTP handler serving WriteMetrics — mount it
@@ -539,44 +514,25 @@ func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
 // variable bindings, and the governance options (WithTimeout,
 // WithMaxResults, …) layer budgets over the database defaults.
 //
-// A snapshot-bound doc (from Snapshot.Document) runs against that
-// snapshot's pinned version; a live handle runs against the live store.
+// Run reads the same committed state DB.Query does: a snapshot-bound doc
+// (from Snapshot.Document) runs against that snapshot's pinned version,
+// and a live handle never observes an open transaction's buffered
+// writes. Runs are timed, slow-logged and traced like DB.Query; a run
+// from the document root also feeds the cost observatory.
 func (q *Query) Run(ctx context.Context, doc *Document, opts ...QueryOption) (*Results, error) {
 	cfg := doc.db.config(opts)
-	var st *mass.Store
-	if doc.snap != nil {
-		if doc.snap.closed.Load() {
-			return nil, ErrSnapshotClosed
-		}
-		st = doc.snap.cs.Store()
+	if doc.snap != nil && doc.snap.closed.Load() {
+		return nil, ErrSnapshotClosed
 	}
-	it, err := q.q.RunContext(ctx, st, doc.id, flexKey(cfg.start), flexVars(cfg.vars), cfg.ordered, cfg.limits)
+	sn, ref := doc.readFrom()
+	it, err := q.q.RunContext(ctx, sn, doc.id, flexKey(cfg.start), flexVars(cfg.vars), cfg.ordered, cfg.limits)
+	if ref {
+		sn.Unref()
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &Results{doc: doc, it: it}, nil
-}
-
-// Execute runs the query against doc with the document root as the
-// initial context node.
-//
-// Deprecated: use Run.
-func (q *Query) Execute(doc *Document) (*Results, error) {
-	return q.Run(context.Background(), doc)
-}
-
-// ExecuteOrdered runs the query and delivers results in document order.
-//
-// Deprecated: use Run with Ordered.
-func (q *Query) ExecuteOrdered(doc *Document) (*Results, error) {
-	return q.Run(context.Background(), doc, Ordered())
-}
-
-// ExecuteFrom runs the query with an explicit initial context node.
-//
-// Deprecated: use Run with From.
-func (q *Query) ExecuteFrom(doc *Document, startKey string, vars map[string][]string) (*Results, error) {
-	return q.Run(context.Background(), doc, From(startKey, vars))
 }
 
 func flexKey(k string) flex.Key { return flex.Key(k) }
@@ -751,60 +707,6 @@ func (d *Document) StringValue(key string) (string, error) {
 	s, release := d.readStore()
 	defer release()
 	return s.StringValue(d.id, flex.Key(key))
-}
-
-// InsertElement inserts a new element named name as a content child of
-// the node at parentKey, at position pos among existing content children
-// (negative or past-the-end appends). Indexes and statistics update
-// immediately: the next CountName probe already reflects the insert —
-// VAMANA's cost model never goes stale under updates.
-//
-// Snapshot-bound handles fail with ErrReadOnlySnapshot.
-//
-// Deprecated: use DB.Update, which batches mutations into one atomic,
-// group-committed version. This per-operation form commits and
-// journals each call individually.
-func (d *Document) InsertElement(parentKey string, pos int, name string) (string, error) {
-	k, err := d.writer().InsertElement(d.id, flex.Key(parentKey), pos, name)
-	return string(k), err
-}
-
-// InsertText inserts a new text node under parentKey (see InsertElement).
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) InsertText(parentKey string, pos int, value string) (string, error) {
-	k, err := d.writer().InsertText(d.id, flex.Key(parentKey), pos, value)
-	return string(k), err
-}
-
-// InsertAttribute adds an attribute to the element at ownerKey.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) InsertAttribute(ownerKey, name, value string) (string, error) {
-	k, err := d.writer().InsertAttribute(d.id, flex.Key(ownerKey), name, value)
-	return string(k), err
-}
-
-// UpdateText replaces the value of a text or attribute node, keeping the
-// value index (TC statistics) exact.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) UpdateText(key, newValue string) error {
-	return d.writer().UpdateText(d.id, flex.Key(key), newValue)
-}
-
-// RenameElement changes an element's name, maintaining the name index.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) RenameElement(key, newName string) error {
-	return d.writer().RenameElement(d.id, flex.Key(key), newName)
-}
-
-// DeleteSubtree removes the node at key and its entire subtree.
-//
-// Deprecated: use DB.Update (see Document.InsertElement).
-func (d *Document) DeleteSubtree(key string) error {
-	return d.writer().DeleteSubtree(d.id, flex.Key(key))
 }
 
 // WriteXML serializes the node at key (and its subtree) as XML to w.

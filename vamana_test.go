@@ -1,6 +1,7 @@
 package vamana
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,11 +33,11 @@ func TestQuickstartFlow(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.003)
 
-	q, err := db.Compile("//person/address")
+	q, err := db.Prepare("//person/address", WithoutOptimization(), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Execute(doc)
+	res, err := q.Run(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +60,14 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 
 	// The optimized query returns the same set.
-	qo, err := db.CompileOptimized(doc, "//person/address")
+	qo, err := db.Prepare("//person/address", WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !qo.Optimized() {
-		t.Fatal("CompileOptimized did not mark the query optimized")
+		t.Fatal("Prepare WithDocument did not mark the query optimized")
 	}
-	ro, err := qo.Execute(doc)
+	ro, err := qo.Run(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestExplain(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.002)
-	q, err := db.CompileOptimized(doc, "//province[text()='Vermont']/ancestor::person")
+	q, err := db.Prepare("//province[text()='Vermont']/ancestor::person", WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +128,8 @@ func TestStatsAndCounts(t *testing.T) {
 func TestStringValueAndNodeFetch(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.002)
-	q, _ := db.Compile("//person[name='Yung Flach']/name")
-	res, err := q.Execute(doc)
+	q, _ := db.Prepare("//person[name='Yung Flach']/name", WithoutOptimization(), WithoutCache())
+	res, err := q.Run(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +152,8 @@ func TestStringValueAndNodeFetch(t *testing.T) {
 func TestExecuteFrom(t *testing.T) {
 	db := openDB(t)
 	doc := loadAuction(t, db, 0.002)
-	q, _ := db.Compile("//person[address/province='Vermont']")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//person[address/province='Vermont']", WithoutOptimization(), WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	keys, err := res.Keys()
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +161,8 @@ func TestExecuteFrom(t *testing.T) {
 	if len(keys) == 0 {
 		t.Skip("no Vermont persons at this factor/seed")
 	}
-	rel, _ := db.Compile("address/city")
-	r2, err := rel.ExecuteFrom(doc, keys[0], nil)
+	rel, _ := db.Prepare("address/city", WithoutOptimization(), WithoutCache())
+	r2, err := rel.Run(context.Background(), doc, From(keys[0], nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +185,10 @@ func TestMultipleDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := db.Compile("//x")
-	r1, _ := q.Execute(d1)
+	q, _ := db.Prepare("//x", WithoutOptimization(), WithoutCache())
+	r1, _ := q.Run(context.Background(), d1)
 	k1, _ := r1.Keys()
-	r2, _ := q.Execute(d2)
+	r2, _ := q.Run(context.Background(), d2)
 	k2, _ := r2.Keys()
 	if len(k1) != 1 || len(k2) != 2 {
 		t.Fatalf("cross-document results: %d, %d", len(k1), len(k2))
@@ -225,8 +226,8 @@ func TestPersistentDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := db2.Compile("//x")
-	res, _ := q.Execute(doc)
+	q, _ := db2.Prepare("//x", WithoutOptimization(), WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	keys, err := res.Keys()
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +239,10 @@ func TestPersistentDB(t *testing.T) {
 
 func TestCompileErrors(t *testing.T) {
 	db := openDB(t)
-	if _, err := db.Compile("///"); err == nil {
+	if _, err := db.Prepare("///", WithoutOptimization(), WithoutCache()); err == nil {
 		t.Fatal("bad expression compiled")
 	}
-	if _, err := db.Compile("1 + 2"); err == nil {
+	if _, err := db.Prepare("1 + 2", WithoutOptimization(), WithoutCache()); err == nil {
 		t.Fatal("non-path expression compiled")
 	}
 	if _, err := db.Document("ghost"); err == nil {
@@ -263,8 +264,8 @@ func TestWriteXMLAndNumericRange(t *testing.T) {
 		t.Fatalf("serialized: %q", b.String())
 	}
 	// Fragment export from a query result.
-	q, _ := db.Compile("//item[cost=99]")
-	res, _ := q.Execute(doc)
+	q, _ := db.Prepare("//item[cost=99]", WithoutOptimization(), WithoutCache())
+	res, _ := q.Run(context.Background(), doc)
 	keys, _ := res.Keys()
 	if len(keys) != 1 {
 		t.Fatal("setup failed")
@@ -284,11 +285,11 @@ func TestWriteXMLAndNumericRange(t *testing.T) {
 		t.Fatalf("NumericRangeCount(0,100) = %d", n)
 	}
 	// Range-predicate queries run through the rewrite end to end.
-	qr, err := db.CompileOptimized(doc, "//cost[text() < 50]")
+	qr, err := db.Prepare("//cost[text() < 50]", WithDocument(doc), WithoutCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, _ := qr.Execute(doc)
+	rr, _ := qr.Run(context.Background(), doc)
 	hits, err := rr.Keys()
 	if err != nil {
 		t.Fatal(err)
