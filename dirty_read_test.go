@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 var errAbort = errors.New("abort transaction")
@@ -144,5 +145,46 @@ func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 	}
 	if n, _ := doc.CountName("book"); n != 2 {
 		t.Fatalf("post-rollback CountName(book) = %d, want 2", n)
+	}
+
+	// Third transaction, with a Drop of another document racing it: the
+	// Drop waits for the writer lock and must not uninstall the shared
+	// snapshot before it holds it, or queries on this document fall back
+	// to the live store and see the buffered insert.
+	if _, err := db.LoadXMLString("other", `<x/>`); err != nil {
+		t.Fatal(err)
+	}
+	dropped := make(chan error, 1)
+	if err := db.Update(func(tx *Txn) error {
+		root, err := queryKeys(db, doc, "/lib")
+		if err != nil {
+			return err
+		}
+		if _, err := tx.InsertElement(doc, root[0], -1, "leaflet"); err != nil {
+			return err
+		}
+		go func() { dropped <- db.Drop("other") }()
+		// Poll for a while: the racing Drop runs up to the writer lock
+		// in its own goroutine.
+		for i := 0; i < 40; i++ {
+			if got, err := queryKeys(db, doc, "//leaflet"); err != nil || len(got) != 0 {
+				t.Errorf("mid-txn query //leaflet during Drop = %d keys, %v; want 0 (dirty read)", len(got), err)
+				return nil
+			}
+			if got, err := runKeys(db, doc, "//leaflet"); err != nil || len(got) != 0 {
+				t.Errorf("mid-txn Prepare→Run //leaflet during Drop = %d keys, %v; want 0 (dirty read)", len(got), err)
+				return nil
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dropped; err != nil {
+		t.Fatalf("Drop(other) after the transaction: %v", err)
+	}
+	if n, _ := doc.CountName("leaflet"); n != 1 {
+		t.Fatalf("post-commit CountName(leaflet) = %d, want 1", n)
 	}
 }

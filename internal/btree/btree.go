@@ -448,7 +448,9 @@ func (t *Tree) insertLeaf(n *node, key, value []byte) (bool, *splitResult, error
 
 // splitLeaf divides an overfull leaf. insertedAt biases the split point:
 // appending workloads (insertion at the right edge) split 9:1 so pages end
-// up nearly full under the document-order bulk loads MASS performs.
+// up nearly full under the document-order bulk loads MASS performs. The
+// bias only picks the starting point: inline values reach maxInlineValue,
+// so the split then moves until neither half exceeds a page.
 func (t *Tree) splitLeaf(n *node, insertedAt int) *splitResult {
 	t.m.Splits++
 	target := n.bytes / 2
@@ -457,20 +459,19 @@ func (t *Tree) splitLeaf(n *node, insertedAt int) *splitResult {
 	} else if insertedAt == 0 {
 		target = n.bytes / 10
 	}
-	acc := leafHeaderSize
-	split := 0
-	for i := 0; i < len(n.keys)-1; i++ {
-		acc += leafEntrySize(n.keys[i], n.vals[i])
-		if acc >= target {
-			split = i + 1
-			break
-		}
+	// left is the serialized size of the left half, keys[:split].
+	split, left := 1, leafHeaderSize+leafEntrySize(n.keys[0], n.vals[0])
+	for split < len(n.keys)-1 && left < target {
+		left += leafEntrySize(n.keys[split], n.vals[split])
+		split++
 	}
-	if split == 0 {
-		split = len(n.keys) / 2
-		if split == 0 {
-			split = 1
-		}
+	for split > 1 && left > pager.PageSize {
+		split--
+		left -= leafEntrySize(n.keys[split], n.vals[split])
+	}
+	for split < len(n.keys)-1 && n.bytes-left+leafHeaderSize > pager.PageSize {
+		left += leafEntrySize(n.keys[split], n.vals[split])
+		split++
 	}
 	r := t.newNode(true)
 	r.keys = append(r.keys, n.keys[split:]...)

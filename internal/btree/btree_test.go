@@ -471,3 +471,83 @@ func BenchmarkRangeCount(b *testing.B) {
 		tr.Count(lo, hi)
 	}
 }
+
+// TestLargeInlineSplitsFitPage drives the 9:1 (ascending) and 1:9
+// (descending) leaf splits with runs of 1-2 KiB inline values between
+// runs of small ones into a file-backed tree, then reopens it and
+// scans: every leaf written by a skewed split must fit in one page, or
+// the reopened tree reads a truncated page back as corrupt.
+func TestLargeInlineSplitsFitPage(t *testing.T) {
+	for _, order := range []string{"ascending", "descending"} {
+		t.Run(order, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "inline.vam")
+			pg, err := pager.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := New(pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 2000
+			val := func(i int) []byte {
+				size := 16
+				if i%64 >= 58 {
+					size = 1024 + (i*389)%(maxInlineValue-1024+1)
+				}
+				v := make([]byte, size)
+				for j := range v {
+					v[j] = byte('a' + (i+j)%26)
+				}
+				return v
+			}
+			for j := 0; j < n; j++ {
+				i := j
+				if order == "descending" {
+					i = n - 1 - j
+				}
+				if _, err := tr.Put([]byte(fmt.Sprintf("key%06d", i)), val(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			root := tr.Root()
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pg.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			pg2, err := pager.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pg2.Close()
+			tr2, err := Load(pg2, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := tr2.NewCursor()
+			i := 0
+			for ok := c.SeekFirst(); ok; ok = c.Next() {
+				if want := fmt.Sprintf("key%06d", i); string(c.Key()) != want {
+					t.Fatalf("entry %d: key %q, want %q", i, c.Key(), want)
+				}
+				v, ok, err := tr2.Get(c.Key())
+				if err != nil || !ok {
+					t.Fatalf("entry %d: Get = %v, %v", i, ok, err)
+				}
+				if !bytes.Equal(v, val(i)) {
+					t.Fatalf("entry %d: value differs after reopen", i)
+				}
+				i++
+			}
+			if err := c.Err(); err != nil {
+				t.Fatalf("scan after reopen: %v", err)
+			}
+			if i != n {
+				t.Fatalf("reopened scan = %d entries, want %d", i, n)
+			}
+		})
+	}
+}

@@ -93,7 +93,8 @@ func (n *node) subtreeCount() uint64 {
 	return s
 }
 
-// serialize renders n into buf, which must be pager.PageSize long.
+// serialize renders n into buf, which must be pager.PageSize long. A
+// node that does not fit is an error, never a silently truncated page.
 func (n *node) serialize(buf []byte) error {
 	for i := range buf {
 		buf[i] = 0
@@ -108,9 +109,12 @@ func (n *node) serialize(buf []byte) error {
 		binary.LittleEndian.PutUint32(buf[7:11], uint32(n.prev))
 		off := leafHeaderSize
 		for i, k := range n.keys {
+			v := n.vals[i]
+			if off+leafEntrySize(k, v) > len(buf) {
+				return fmt.Errorf("btree: leaf %d overflows page (%d bytes)", n.id, n.bytes)
+			}
 			off += binary.PutUvarint(buf[off:], uint64(len(k)))
 			off += copy(buf[off:], k)
-			v := n.vals[i]
 			if v.isOverflow() {
 				off += binary.PutUvarint(buf[off:], uint64(v.totalLen)<<1|1)
 				binary.LittleEndian.PutUint32(buf[off:off+4], uint32(v.overflow))
@@ -119,9 +123,6 @@ func (n *node) serialize(buf []byte) error {
 				off += binary.PutUvarint(buf[off:], uint64(len(v.inline))<<1)
 				off += copy(buf[off:], v.inline)
 			}
-		}
-		if off > pager.PageSize {
-			return fmt.Errorf("btree: leaf %d overflows page (%d bytes)", n.id, off)
 		}
 		return nil
 	}
@@ -134,15 +135,15 @@ func (n *node) serialize(buf []byte) error {
 	for i, c := range n.children {
 		if i > 0 {
 			sep := n.keys[i-1]
+			if off+branchEntrySize(sep) > len(buf) {
+				return fmt.Errorf("btree: branch %d overflows page (%d bytes)", n.id, n.bytes)
+			}
 			off += binary.PutUvarint(buf[off:], uint64(len(sep)))
 			off += copy(buf[off:], sep)
 		}
 		binary.LittleEndian.PutUint32(buf[off:off+4], uint32(c))
 		binary.LittleEndian.PutUint64(buf[off+4:off+12], n.counts[i])
 		off += childRefSize
-	}
-	if off > pager.PageSize {
-		return fmt.Errorf("btree: branch %d overflows page (%d bytes)", n.id, off)
 	}
 	return nil
 }

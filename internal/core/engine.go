@@ -96,9 +96,9 @@ type Engine struct {
 	traceEvery uint64
 	traceSink  func(*TraceContext)
 	traceN     atomic.Uint64
-	// flight is the bounded ring of recent complete traces; nil when
-	// Options.FlightRecorderSize is 0.
-	flight *flightRecorder
+	// flight is the bounded ring of recent complete traces; nil (a
+	// disabled ring) when Options.FlightRecorderSize is 0.
+	flight *obs.Ring[*obs.QueryTrace]
 	// traceSeq mints TraceContext IDs.
 	traceSeq atomic.Uint64
 	// execBatch is Options.ExecBatch, stamped on every run's exec.Context.
@@ -127,15 +127,13 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.live.init(e, s, e.plans, e.probes, nil)
 	if opts.SlowQueryThreshold > 0 {
-		e.slow = &slowLog{threshold: opts.SlowQueryThreshold, w: opts.SlowQueryLog}
+		e.slow = &slowLog{threshold: opts.SlowQueryThreshold, w: opts.SlowQueryLog, ring: obs.NewRing[*obs.QueryTrace](slowRingCap)}
 	}
 	if opts.TraceEvery > 0 {
 		e.traceEvery = uint64(opts.TraceEvery)
 		e.traceSink = opts.TraceSink
 	}
-	if opts.FlightRecorderSize > 0 {
-		e.flight = newFlightRecorder(opts.FlightRecorderSize)
-	}
+	e.flight = obs.NewRing[*obs.QueryTrace](opts.FlightRecorderSize)
 	return e, nil
 }
 
@@ -317,30 +315,22 @@ func (e *Engine) viewOf(sn *Snapshot) *view {
 // want a traced pass on the same engine. Not safe to call concurrently
 // with in-flight queries.
 func (e *Engine) EnableFlightRecorder(size int) {
-	if size <= 0 {
-		e.flight = nil
-		return
-	}
-	e.flight = newFlightRecorder(size)
+	e.flight = obs.NewRing[*obs.QueryTrace](size)
 }
 
 // Traces returns the flight recorder's contents — the last N complete
 // query traces with span trees, most recent first. Empty unless
 // Options.FlightRecorderSize is set.
-func (e *Engine) Traces() []*obs.QueryTrace {
-	if e.flight == nil {
-		return nil
-	}
-	return e.flight.snapshot()
-}
+func (e *Engine) Traces() []*obs.QueryTrace { return e.flight.Snapshot() }
 
 // SlowQueries returns the recorded slow queries, most recent first (empty
-// unless Options.SlowQueryThreshold is set).
-func (e *Engine) SlowQueries() []SlowQuery {
+// unless Options.SlowQueryThreshold is set). Entries carry no span tree;
+// a traced one links to its flight-recorder trace by ID.
+func (e *Engine) SlowQueries() []*obs.QueryTrace {
 	if e.slow == nil {
 		return nil
 	}
-	return e.slow.snapshot()
+	return e.slow.ring.Snapshot()
 }
 
 // calibrateFn returns the cost-correction hook for this engine's

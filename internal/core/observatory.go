@@ -96,7 +96,7 @@ type CostClassProfile struct {
 	Rewrite        string       `json:"rewrite"` // provenance rule; "" = compiler-built
 	Samples        uint64       `json:"samples"`
 	Underestimates uint64       `json:"underestimates"`
-	P50            float64      `json:"p50_q_error"` // power-of-two upper bounds
+	P50            float64      `json:"p50_q_error"` // power-of-two upper bounds, clamped to Max
 	P95            float64      `json:"p95_q_error"`
 	Max            float64      `json:"max_q_error"`
 	Factor         float64      `json:"calibration_factor"` // applied correction; 1 = none
@@ -427,9 +427,9 @@ func (p CostProfile) writeProm(w io.Writer) {
 			func(c CostClassProfile) float64 { return float64(c.Samples) }},
 		{"vamana_cost_class_underestimates", "Observations where the actual exceeded the estimate.",
 			func(c CostClassProfile) float64 { return float64(c.Underestimates) }},
-		{"vamana_cost_class_qerror_p50", "Median q-error (power-of-two bucket upper bound).",
+		{"vamana_cost_class_qerror_p50", "Median q-error (power-of-two bucket upper bound, clamped to the max).",
 			func(c CostClassProfile) float64 { return c.P50 }},
-		{"vamana_cost_class_qerror_p95", "95th-percentile q-error (power-of-two bucket upper bound).",
+		{"vamana_cost_class_qerror_p95", "95th-percentile q-error (power-of-two bucket upper bound, clamped to the max).",
 			func(c CostClassProfile) float64 { return c.P95 }},
 		{"vamana_cost_class_qerror_max", "Largest q-error observed.",
 			func(c CostClassProfile) float64 { return c.Max }},

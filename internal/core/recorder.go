@@ -5,57 +5,15 @@ package core
 // recorder keeps every recent query, so when one trips the slow-query
 // threshold or a resource budget its full span tree is already captured
 // — the diagnosis is retroactive, no re-run with tracing enabled needed.
+// The ring is an obs.Ring of exported traces: one pointer store per
+// query, and snapshots copy the pointers, never the trees. Traces are
+// immutable once recorded; callers may hold them freely.
 
-import (
-	"sync"
-
-	"vamana/internal/obs"
-)
-
-// flightRecorder is a mutex-guarded ring of exported traces. Writes are
-// one pointer store per query (only queries that recorded spans reach
-// it); snapshots copy the pointers, never the trees, so a reader holds
-// the lock for microseconds regardless of span fan-out.
-type flightRecorder struct {
-	mu   sync.Mutex
-	ring []*obs.QueryTrace
-	n    uint64 // total recorded; ring index is n % len(ring)
-}
-
-func newFlightRecorder(size int) *flightRecorder {
-	return &flightRecorder{ring: make([]*obs.QueryTrace, size)}
-}
-
-func (f *flightRecorder) record(t *obs.QueryTrace) {
-	f.mu.Lock()
-	f.ring[f.n%uint64(len(f.ring))] = t
-	f.n++
-	f.mu.Unlock()
-}
+import "vamana/internal/obs"
 
 // RecordTrace appends an externally assembled trace to the flight ring.
 // The serving layer uses it to record request-level traces — serve-layer
 // spans grafted above a captured engine trace (see RequestTrace) — so
 // `vamana traces` shows the whole request as one timeline. No-op when
 // the recorder is off.
-func (e *Engine) RecordTrace(t *obs.QueryTrace) {
-	if e.flight != nil {
-		e.flight.record(t)
-	}
-}
-
-// snapshot returns the recorded traces, most recent first. The traces
-// themselves are immutable once recorded; callers may hold them freely.
-func (f *flightRecorder) snapshot() []*obs.QueryTrace {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.n
-	if n > uint64(len(f.ring)) {
-		n = uint64(len(f.ring))
-	}
-	out := make([]*obs.QueryTrace, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, f.ring[(f.n-1-i)%uint64(len(f.ring))])
-	}
-	return out
-}
+func (e *Engine) RecordTrace(t *obs.QueryTrace) { e.flight.Add(t) }

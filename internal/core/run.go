@@ -190,22 +190,30 @@ func (v *view) queryFinished(it *exec.Iterator) {
 	}
 	if e.slow != nil && total >= e.slow.threshold {
 		obs.SlowQueries.Inc()
-		sq := SlowQuery{
+		// A fresh flat record, never the exported trace: the serving
+		// layer shifts a captured span tree in place, and a ring entry
+		// is never mutated once recorded.
+		sq := &obs.QueryTrace{
 			Expr:     expr,
-			Doc:      it.Doc(),
+			Doc:      v.st.DocName(it.Doc()),
 			Start:    it.StartTime(),
 			Total:    total,
 			Results:  it.Results(),
 			CacheHit: hit,
-			Err:      it.Err(),
+		}
+		if err := it.Err(); err != nil {
+			sq.Err = err.Error()
 		}
 		if lim != nil {
 			sq.PagesRead = lim.PagesRead()
 			sq.RecordsDecoded = lim.DecodedRecords()
 			sq.NodeCacheHits = lim.NodeCacheHits()
 		}
-		if tc != nil && tc.traced {
-			sq.TraceID = tc.ID
+		if tc != nil {
+			sq.Compile = tc.Compile
+			if tc.traced {
+				sq.ID, sq.Request, sq.Tenant = tc.ID, tc.Request, tc.Tenant
+			}
 		}
 		// Name the worst-misestimated operator so a slow query points
 		// straight at the cost-model miss that may have caused it.
@@ -219,7 +227,7 @@ func (v *view) queryFinished(it *exec.Iterator) {
 		if tc.req != nil {
 			tc.req.Captured = tc.Export()
 		} else if e.flight != nil {
-			e.flight.record(tc.Export())
+			e.flight.Add(tc.Export())
 		}
 	}
 	if tc != nil && tc.sampled && e.traceSink != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"vamana/internal/mass"
@@ -56,8 +55,8 @@ func requestTraceFrom(ctx context.Context) *RequestTrace {
 // nothing.
 type TraceContext struct {
 	// ID is the engine-assigned trace sequence number, unique per engine
-	// lifetime; the slow-query ring references it to link a slow entry to
-	// its flight-recorder trace.
+	// lifetime; a slow-query entry carries it to link to its
+	// flight-recorder trace.
 	ID       uint64
 	Expr     string
 	Doc      mass.DocID
@@ -98,85 +97,32 @@ type TraceContext struct {
 	q *Query
 }
 
-// SlowQuery is one entry of the engine's slow-query ring.
-type SlowQuery struct {
-	Expr     string
-	Doc      mass.DocID
-	Start    time.Time
-	Total    time.Duration
-	Results  uint64
-	CacheHit bool
-	// Storage consumption deltas for this query, from the run's
-	// accounting limiter: together they answer whether the query was
-	// I/O-bound (pages), decode-bound (records), or riding the node
-	// cache (hits). Zero when the engine tracks no slow queries — the
-	// limiter is only force-armed when a slowLog is configured.
-	PagesRead      uint64
-	RecordsDecoded uint64
-	NodeCacheHits  uint64
-	// TraceID links the entry to its flight-recorder trace (Engine.
-	// Traces), zero when the query was not traced.
-	TraceID uint64
-	// WorstOp names the query's worst-misestimated operator (largest
-	// q-error, when at least 2x) and WorstQErr its q-error — the cost
-	// observatory's pointer at a possible mis-planning cause. Empty/zero
-	// when the observatory is off or every estimate was within 2x.
-	WorstOp   string
-	WorstQErr float64
-	// Err is the run's terminal error, if any — a governance trip
-	// (canceled, deadline, budget) or an execution failure. A slow entry
-	// with a deadline error is the signature of a query killed by its
-	// timeout rather than one that finished slowly.
-	Err error
-}
-
 // slowRingCap bounds the in-memory slow-query ring. Old entries are
 // overwritten; the log writer (Options.SlowQueryLog) sees every entry.
 const slowRingCap = 128
 
 // slowLog collects queries exceeding the configured threshold: a bounded
 // ring for programmatic access plus an optional line-oriented writer.
+// Entries are flat records without span trees (Root is nil); a traced
+// entry links to its flight-recorder trace by ID.
 type slowLog struct {
 	threshold time.Duration
 	w         io.Writer
-
-	mu   sync.Mutex
-	ring [slowRingCap]SlowQuery
-	n    uint64 // total recorded; ring index is n % slowRingCap
+	ring      *obs.Ring[*obs.QueryTrace]
 }
 
-func (l *slowLog) record(sq SlowQuery) {
-	l.mu.Lock()
-	l.ring[l.n%slowRingCap] = sq
-	l.n++
-	w := l.w
-	l.mu.Unlock()
-	if w != nil {
-		miscost := ""
-		if sq.WorstOp != "" {
-			miscost = fmt.Sprintf(" worstop=%q qerr=%.1f", sq.WorstOp, sq.WorstQErr)
-		}
-		if sq.Err != nil {
-			fmt.Fprintf(w, "slow query: %s doc=%d total=%v results=%d cached=%v pages=%d records=%d cachehits=%d%s err=%q\n",
-				sq.Expr, sq.Doc, sq.Total, sq.Results, sq.CacheHit, sq.PagesRead, sq.RecordsDecoded, sq.NodeCacheHits, miscost, sq.Err)
-		} else {
-			fmt.Fprintf(w, "slow query: %s doc=%d total=%v results=%d cached=%v pages=%d records=%d cachehits=%d%s\n",
-				sq.Expr, sq.Doc, sq.Total, sq.Results, sq.CacheHit, sq.PagesRead, sq.RecordsDecoded, sq.NodeCacheHits, miscost)
-		}
+func (l *slowLog) record(t *obs.QueryTrace) {
+	l.ring.Add(t)
+	if l.w == nil {
+		return
 	}
-}
-
-// snapshot returns the recorded slow queries, most recent first.
-func (l *slowLog) snapshot() []SlowQuery {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.n
-	if n > slowRingCap {
-		n = slowRingCap
+	var suffix string
+	if t.WorstOp != "" {
+		suffix = fmt.Sprintf(" worstop=%q qerr=%.1f", t.WorstOp, t.WorstQErr)
 	}
-	out := make([]SlowQuery, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, l.ring[(l.n-1-i)%slowRingCap])
+	if t.Err != "" {
+		suffix += fmt.Sprintf(" err=%q", t.Err)
 	}
-	return out
+	fmt.Fprintf(l.w, "slow query: %s doc=%s total=%v results=%d cached=%v pages=%d records=%d cachehits=%d%s\n",
+		t.Expr, t.Doc, t.Total, t.Results, t.CacheHit, t.PagesRead, t.RecordsDecoded, t.NodeCacheHits, suffix)
 }

@@ -553,7 +553,7 @@ func TestDropDocument(t *testing.T) {
 	s := openMem(t)
 	loadDoc(t, s, "keep", personXML)
 	loadDoc(t, s, "drop", personXML)
-	if err := s.DropDocument("drop"); err != nil {
+	if err := s.DropDocument("drop", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := s.CountName(0, "person"); got != 2 {
@@ -562,7 +562,7 @@ func TestDropDocument(t *testing.T) {
 	if _, ok := s.DocID("drop"); ok {
 		t.Error("dropped doc still resolvable")
 	}
-	if err := s.DropDocument("nosuch"); err == nil {
+	if err := s.DropDocument("nosuch", nil); err == nil {
 		t.Error("dropping unknown doc succeeded")
 	}
 }

@@ -106,7 +106,7 @@ func TestSnapshotReadOnly(t *testing.T) {
 	if _, err := ro.LoadDocument("other", strings.NewReader("<a/>")); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("LoadDocument: %v", err)
 	}
-	if err := ro.DropDocument("lib"); !errors.Is(err, ErrReadOnlySnapshot) {
+	if err := ro.DropDocument("lib", nil); !errors.Is(err, ErrReadOnlySnapshot) {
 		t.Fatalf("DropDocument: %v", err)
 	}
 	if err := ro.Flush(); !errors.Is(err, ErrReadOnlySnapshot) {
@@ -127,18 +127,18 @@ func TestDropDocumentBusy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if err := s.DropDocument("lib"); !errors.Is(err, ErrDocumentBusy) {
+	if err := s.DropDocument("lib", nil); !errors.Is(err, ErrDocumentBusy) {
 		t.Fatalf("drop with open snapshot: %v, want ErrDocumentBusy", err)
 	}
 	sn.Close()
 
 	s.BeginRead(d)
-	if err := s.DropDocument("lib"); !errors.Is(err, ErrDocumentBusy) {
+	if err := s.DropDocument("lib", nil); !errors.Is(err, ErrDocumentBusy) {
 		t.Fatalf("drop with reader: %v, want ErrDocumentBusy", err)
 	}
 	s.EndRead(d)
 
-	if err := s.DropDocument("lib"); err != nil {
+	if err := s.DropDocument("lib", nil); err != nil {
 		t.Fatalf("drop after release: %v", err)
 	}
 }

@@ -640,10 +640,16 @@ func (s *Store) Documents() []string {
 
 // DropDocument removes a document and all its index entries. It refuses
 // with ErrDocumentBusy while any snapshot is open or any iterator is
-// streaming the document: dropping would delete pages mid-read.
-func (s *Store) DropDocument(name string) error {
+// streaming the document: dropping would delete pages mid-read. locked,
+// when non-nil, runs once the writer lock is held and before the busy
+// check — the place to release snapshots the caller owns without
+// opening a window in which an in-flight transaction is unguarded.
+func (s *Store) DropDocument(name string, locked func()) error {
 	s.writer.Lock()
 	defer s.writer.Unlock()
+	if locked != nil {
+		locked()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ro {

@@ -2,9 +2,9 @@ package obs
 
 // Labeled histogram families, added for per-tenant serving SLOs: one
 // latency histogram per (tenant, outcome) pair without pre-declaring
-// either population. Cells share the striped power-of-two bucket layout
-// of Histogram, so concurrent request finishes never serialize on one
-// cache line, and snapshots merge cheaply for per-tenant quantiles.
+// either population. Each label combination is one histogram core cell,
+// so concurrent request finishes never serialize on one cache line, and
+// snapshots merge cheaply for per-tenant quantiles.
 //
 // This file also owns the Prometheus label-value escaping helpers. The
 // text exposition spec escapes exactly three characters inside label
@@ -14,9 +14,7 @@ package obs
 // labeled exposition path goes through appendPromLabel.
 
 import (
-	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -71,32 +69,6 @@ func promLabelSet(names, values []string) string {
 	return string(append(dst, '}'))
 }
 
-// snapshotStripes folds one stripe set into a HistogramSnapshot —
-// shared by Histogram and HistogramVec cells.
-func snapshotStripes(stripes *[numStripes]histStripe) HistogramSnapshot {
-	var s HistogramSnapshot
-	for i := range stripes {
-		st := &stripes[i]
-		for j := range st.buckets {
-			n := st.buckets[j].Load()
-			s.Buckets[j] += n
-			s.Count += n
-		}
-		s.SumNS += st.sumNS.Load()
-	}
-	return s
-}
-
-// Merge folds another snapshot into s — used to aggregate a tenant's
-// per-outcome cells into one quantile-bearing distribution.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.SumNS += o.SumNS
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // HistogramVec is a family of latency histograms keyed by a fixed list
 // of labels — per-tenant, per-outcome request latency. Cells
 // materialize on first observation and live for the process; the
@@ -114,8 +86,8 @@ type HistogramVec struct {
 
 // histVecCell is one label combination's histogram.
 type histVecCell struct {
-	values  []string
-	stripes [numStripes]histStripe
+	values []string
+	cell
 }
 
 // vecKeySep joins label values into map keys; label values containing
@@ -141,9 +113,9 @@ func NewHistogramVec(name, help string, labels ...string) *HistogramVec {
 // Name returns the family's exposition name.
 func (v *HistogramVec) Name() string { return v.name }
 
-// cell returns (creating if needed) the histogram cell for one label
+// cellFor returns (creating if needed) the histogram cell for one label
 // combination. values must match the family's label count.
-func (v *HistogramVec) cell(values []string) *histVecCell {
+func (v *HistogramVec) cellFor(values []string) *histVecCell {
 	key := strings.Join(values, vecKeySep)
 	v.mu.RLock()
 	c := v.m[key]
@@ -166,15 +138,7 @@ func (v *HistogramVec) Observe(d time.Duration, values ...string) {
 	if !enabled.Load() {
 		return
 	}
-	c := v.cell(values)
-	ns := uint64(d.Nanoseconds())
-	b := bits.Len64(ns)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	s := &c.stripes[stripeIdx()]
-	s.buckets[b].Add(1)
-	s.sumNS.Add(ns)
+	v.cellFor(values).observe(uint64(d.Nanoseconds()))
 }
 
 // Snapshot returns the current snapshot for one exact label
@@ -187,7 +151,7 @@ func (v *HistogramVec) Snapshot(values ...string) HistogramSnapshot {
 	if c == nil {
 		return HistogramSnapshot{}
 	}
-	return snapshotStripes(&c.stripes)
+	return c.snapshot()
 }
 
 // LabeledHistogram is one cell's snapshot with its label values, in the
@@ -217,70 +181,29 @@ func (v *HistogramVec) Cells() []LabeledHistogram {
 	})
 	out := make([]LabeledHistogram, len(cells))
 	for i, c := range cells {
-		out[i] = LabeledHistogram{Values: c.values, HistogramSnapshot: snapshotStripes(&c.stripes)}
+		out[i] = LabeledHistogram{Values: c.values, HistogramSnapshot: c.snapshot()}
 	}
 	return out
 }
 
-// snapshotInto folds the family into out, one set of
-// name{labels}_count/_sum_ns/_p50/_p95/_p99 entries per cell.
+// snapshotInto folds the family into out, one series per cell.
 func (v *HistogramVec) snapshotInto(out map[string]uint64) {
-	for _, c := range v.Cells() {
-		base := v.name + promLabelSet(v.labels, c.Values)
-		out[base+"_count"] = c.Count
-		out[base+"_sum_ns"] = c.SumNS
-		out[base+"_p50"] = uint64(c.Quantile(0.50))
-		out[base+"_p95"] = uint64(c.Quantile(0.95))
-		out[base+"_p99"] = uint64(c.Quantile(0.99))
+	for _, s := range v.series() {
+		s.snapshotInto(out, v.name)
 	}
 }
 
-// writeText writes the family in Prometheus text exposition format:
-// cumulative buckets with nanosecond le bounds per cell, plus
-// precomputed per-cell quantile gauges so dashboards get per-tenant
-// tail latency without PromQL bucket math.
+// writeText writes the family in Prometheus text exposition format.
 func (v *HistogramVec) writeText(w io.Writer) error {
+	return writeFamily(w, v.name, v.help, v.series())
+}
+
+// series renders every materialized label combination for exposition.
+func (v *HistogramVec) series() []series {
 	cells := v.Cells()
-	if len(cells) == 0 {
-		return nil
+	out := make([]series, len(cells))
+	for i, c := range cells {
+		out[i] = series{labels: promLabelSet(v.labels, c.Values), snap: c.HistogramSnapshot}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", v.name, v.help, v.name); err != nil {
-		return err
-	}
-	for _, c := range cells {
-		labels := promLabelSet(v.labels, c.Values)
-		inner := labels[1 : len(labels)-1] // without braces, to splice le in
-		var cum uint64
-		for i, n := range c.Buckets {
-			cum += n
-			if cum == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{%s,le=\"%d\"} %d\n", v.name, inner, uint64(1)<<uint(i)-1, cum); err != nil {
-				return err
-			}
-			if cum == c.Count {
-				break
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n%s_sum%s %d\n%s_count%s %d\n",
-			v.name, inner, c.Count, v.name, labels, c.SumNS, v.name, labels, c.Count); err != nil {
-			return err
-		}
-	}
-	for _, q := range [...]struct {
-		suffix string
-		q      float64
-	}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-		if _, err := fmt.Fprintf(w, "# TYPE %s_%s gauge\n", v.name, q.suffix); err != nil {
-			return err
-		}
-		for _, c := range cells {
-			if _, err := fmt.Fprintf(w, "%s_%s%s %d\n",
-				v.name, q.suffix, promLabelSet(v.labels, c.Values), uint64(c.Quantile(q.q))); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return out
 }

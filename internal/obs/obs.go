@@ -20,13 +20,11 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -130,103 +128,9 @@ func (c *Counter) Value() uint64 {
 // Name returns the counter's exposition name.
 func (c *Counter) Name() string { return c.name }
 
-// histBuckets is the number of power-of-two latency buckets: bucket i
-// counts observations with nanoseconds in [2^(i-1), 2^i), which spans
-// sub-microsecond index probes through multi-minute scans.
-const histBuckets = 41
-
-// Histogram is a lock-free latency histogram over power-of-two
-// nanosecond buckets. Observations are two atomic adds into the caller's
-// stripe; readers take a consistent-enough snapshot without stopping
-// writers.
-type Histogram struct {
-	name    string
-	help    string
-	stripes [numStripes]histStripe
-}
-
-// histStripe keeps one writer group's buckets together and away from the
-// other stripes' lines (the trailing pad rounds the struct to a
-// cache-line multiple).
-type histStripe struct {
-	buckets [histBuckets]atomic.Uint64
-	sumNS   atomic.Uint64
-	_       [48]byte
-}
-
-// NewHistogram creates and registers a histogram (same uniqueness rule
-// as NewCounter).
-func NewHistogram(name, help string) *Histogram {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	for _, h := range registry.histograms {
-		if h.name == name {
-			return h
-		}
-	}
-	h := &Histogram{name: name, help: help}
-	registry.histograms = append(registry.histograms, h)
-	return h
-}
-
-// Observe records one duration when collection is enabled.
-func (h *Histogram) Observe(d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	ns := uint64(d.Nanoseconds())
-	b := bits.Len64(ns) // 0 for 0ns, else floor(log2)+1
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	s := &h.stripes[stripeIdx()]
-	s.buckets[b].Add(1)
-	s.sumNS.Add(ns)
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram's state.
-type HistogramSnapshot struct {
-	Count   uint64
-	SumNS   uint64
-	Buckets [histBuckets]uint64 // Buckets[i] counts observations < 2^i ns (non-cumulative)
-}
-
-// Snapshot copies the histogram's current buckets and sum, folding the
-// stripes together.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return snapshotStripes(&h.stripes)
-}
-
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) of the
-// observed durations, at power-of-two resolution. Zero when empty.
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(s.Count))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, n := range s.Buckets {
-		cum += n
-		if cum >= target {
-			return time.Duration(uint64(1)<<uint(i) - 1)
-		}
-	}
-	return time.Duration(uint64(1)<<uint(histBuckets) - 1)
-}
-
-// Mean returns the mean observed duration, zero when empty.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNS / s.Count)
-}
-
 // Snapshot returns every registered metric's current value keyed by
-// exposition name. Histograms contribute <name>_count and <name>_sum_ns.
+// exposition name. Histogram series contribute <name>_count, _sum_ns and
+// _p50/_p95/_p99.
 // Intended for tests (monotonicity assertions) and expvar-style dumps.
 func Snapshot() map[string]uint64 {
 	registry.mu.Lock()
@@ -250,12 +154,7 @@ func Snapshot() map[string]uint64 {
 		v.snapshotInto(out)
 	}
 	for _, h := range histograms {
-		s := h.Snapshot()
-		out[h.name+"_count"] = s.Count
-		out[h.name+"_sum_ns"] = s.SumNS
-		out[h.name+"_p50"] = uint64(s.Quantile(0.50))
-		out[h.name+"_p95"] = uint64(s.Quantile(0.95))
-		out[h.name+"_p99"] = uint64(s.Quantile(0.99))
+		h.snapshotInto(out)
 	}
 	return out
 }
@@ -297,39 +196,8 @@ func WriteText(w io.Writer) error {
 		}
 	}
 	for _, h := range histograms {
-		s := h.Snapshot()
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name); err != nil {
+		if err := h.writeText(w); err != nil {
 			return err
-		}
-		var cum uint64
-		for i, n := range s.Buckets {
-			cum += n
-			// Skip empty leading/trailing buckets but keep the shape
-			// readable: emit a bucket once anything at or below it exists.
-			if cum == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", h.name, uint64(1)<<uint(i)-1, cum); err != nil {
-				return err
-			}
-			if cum == s.Count {
-				break
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-			h.name, s.Count, h.name, s.SumNS, h.name, s.Count); err != nil {
-			return err
-		}
-		// Precomputed quantile gauges (power-of-two upper bounds) so
-		// dashboards get tail latency without PromQL bucket math.
-		for _, q := range [...]struct {
-			suffix string
-			q      float64
-		}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-			if _, err := fmt.Fprintf(w, "# TYPE %s_%s gauge\n%s_%s %d\n",
-				h.name, q.suffix, h.name, q.suffix, uint64(s.Quantile(q.q))); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -104,5 +106,44 @@ func TestSnapshotAndWriteText(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, text)
 		}
+	}
+}
+
+// TestWriteTextHistogramGolden pins the Prometheus text of one
+// unlabeled and one labeled histogram — bucket lines, le bounds, sums,
+// counts and quantile gauges — to testdata/histogram_text.golden.
+// Regenerate with UPDATE_GOLDEN=1 only for a deliberate format change.
+func TestWriteTextHistogramGolden(t *testing.T) {
+	h := NewHistogram("test_golden_latency_ns", "Golden unlabeled histogram.")
+	for _, d := range []time.Duration{0, 1, 100, 3 * time.Microsecond, 3 * time.Microsecond, 2 * time.Millisecond, 5 * time.Second} {
+		h.Observe(d)
+	}
+	v := NewHistogramVec("test_golden_request_ns", "Golden labeled histogram.", "tenant", "outcome")
+	v.Observe(100*time.Nanosecond, "alpha", "ok")
+	v.Observe(time.Millisecond, "alpha", "ok")
+	v.Observe(40*time.Microsecond, `b"q`, "error")
+
+	var buf strings.Builder
+	if err := WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if strings.Contains(line, "test_golden_") {
+			got.WriteString(line)
+		}
+	}
+	golden := filepath.Join("testdata", "histogram_text.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("histogram text drifted from golden file.\ngot:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -5,7 +5,7 @@ package obs
 //
 //	q = max(est/act, act/est) >= 1
 //
-// in power-of-two buckets, mirroring the latency Histogram's layout. An
+// in the histogram core's power-of-two buckets. An
 // accumulator is a plain data structure, not a registered metric: the
 // cost observatory keys one per operator class (axis × rewrite-rule
 // provenance) per engine, and the engine's exposition writes them out as
@@ -15,27 +15,20 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 )
 
-// qerrBuckets is the number of power-of-two q-error buckets: bucket i
-// counts observations with q in [2^i, 2^(i+1)), so bucket 0 is the
-// within-2x band and bucket 23 absorbs errors beyond 8 million x.
-const qerrBuckets = 24
+// qerrBuckets is the number of q-error buckets: bucket i counts
+// observations with q in [2^i, 2^(i+1)), and the last absorbs everything
+// larger.
+const qerrBuckets = cellBuckets
 
-// qerrStripe keeps one writer group's buckets on its own cache lines
-// (trailing pad rounds the struct to a cache-line multiple).
-type qerrStripe struct {
-	buckets [qerrBuckets]atomic.Uint64
-	under   atomic.Uint64 // observations with act > est (upper-bound miss)
-	_       [48]byte
-}
-
-// QErrorAccum accumulates q-error observations for one operator class.
-// The zero value is ready to use. Safe for concurrent use.
+// QErrorAccum accumulates q-error observations for one operator class:
+// one histogram core cell plus the under-estimate count and the largest
+// q beside it. The zero value is ready to use. Safe for concurrent use.
 type QErrorAccum struct {
-	stripes [numStripes]qerrStripe
+	cell
+	under [numStripes]stripe // observations with act > est (upper-bound miss)
 	// maxBits holds the float64 bits of the largest q observed (q >= 1,
 	// so the bit patterns order like the values and a CAS max works).
 	maxBits atomic.Uint64
@@ -79,16 +72,11 @@ func (h *QErrorAccum) Observe(est, act uint64) float64 {
 	} else {
 		ratio = e / a
 	}
-	// floor(log2(floor(x))) == floor(log2(x)) for x >= 1, so the integer
-	// ratio lands in the same power-of-two bucket as the real one.
-	b := bits.Len64(ratio) - 1
-	if b >= qerrBuckets {
-		b = qerrBuckets - 1
-	}
-	s := &h.stripes[stripeIdx()]
-	s.buckets[b].Add(1)
+	// floor(log2(floor(x))) == floor(log2(x)) for x >= 1, and halving
+	// shifts q in [2^i, 2^(i+1)) into the cell's bucket i.
+	h.observe(ratio >> 1)
 	if under {
-		s.under.Add(1)
+		h.under[stripeIdx()].v.Add(1)
 	}
 	q := QError(est, act)
 	qb := math.Float64bits(q)
@@ -111,15 +99,10 @@ type QErrorSnapshot struct {
 
 // Snapshot folds the stripes into a consistent-enough copy.
 func (h *QErrorAccum) Snapshot() QErrorSnapshot {
-	var s QErrorSnapshot
-	for i := range h.stripes {
-		st := &h.stripes[i]
-		for j := range st.buckets {
-			n := st.buckets[j].Load()
-			s.Buckets[j] += n
-			s.Count += n
-		}
-		s.Under += st.under.Load()
+	c := h.snapshot()
+	s := QErrorSnapshot{Count: c.Count, Buckets: c.Buckets}
+	for i := range h.under {
+		s.Under += h.under[i].v.Load()
 	}
 	if b := h.maxBits.Load(); b != 0 {
 		s.Max = math.Float64frombits(b)
@@ -128,22 +111,14 @@ func (h *QErrorAccum) Snapshot() QErrorSnapshot {
 }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) of the
-// observed q-errors at power-of-two resolution: the top of the bucket
-// containing the quantile. Zero when empty, never below 1 otherwise.
+// observed q-errors: the top of the power-of-two bucket containing the
+// quantile, clamped to the largest q observed. Zero when empty, never
+// below 1 otherwise.
 func (s QErrorSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(s.Count))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, n := range s.Buckets {
-		cum += n
-		if cum >= target {
-			return float64(uint64(1) << uint(i+1))
-		}
-	}
-	return float64(uint64(1) << uint(qerrBuckets))
+	top := float64(uint64(2) << uint(quantileBucket(&s.Buckets, s.Count, q)))
+	// Max trails the bucket add in a racing Observe; 1 is always a bound.
+	return math.Min(top, math.Max(s.Max, 1))
 }

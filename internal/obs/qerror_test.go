@@ -56,8 +56,9 @@ func TestQErrorQuantile(t *testing.T) {
 	if q := h.Snapshot().Quantile(0.5); q != 0 {
 		t.Errorf("empty quantile = %g, want 0", q)
 	}
-	// 90 observations at q=1, 10 at q in [8,16): p50 sits in bucket 0
-	// (upper bound 2), p95 in bucket 3 (upper bound 16).
+	// 90 observations at q=1, 10 at q=9: p50 sits in bucket 0 (upper
+	// bound 2), p95 in bucket 3, whose upper bound 16 clamps to the
+	// observed max 9.
 	for i := 0; i < 90; i++ {
 		h.Observe(5, 5)
 	}
@@ -68,11 +69,22 @@ func TestQErrorQuantile(t *testing.T) {
 	if got := s.Quantile(0.50); got != 2 {
 		t.Errorf("p50 = %g, want 2", got)
 	}
-	if got := s.Quantile(0.95); got != 16 {
-		t.Errorf("p95 = %g, want 16", got)
+	if got := s.Quantile(0.95); got != 9 {
+		t.Errorf("p95 = %g, want 9", got)
 	}
-	if got := s.Quantile(1.0); got != 16 {
-		t.Errorf("p100 = %g, want 16", got)
+	if got := s.Quantile(1.0); got != 9 {
+		t.Errorf("p100 = %g, want 9", got)
+	}
+
+	// Perfect estimates only: every quantile is the observed max, 1, not
+	// bucket 0's upper bound 2.
+	var exact QErrorAccum
+	for i := 0; i < 5; i++ {
+		exact.Observe(7, 7)
+	}
+	es := exact.Snapshot()
+	if p50, p95 := es.Quantile(0.50), es.Quantile(0.95); p50 != 1 || p95 != 1 {
+		t.Errorf("all q=1: p50 = %g, p95 = %g, want 1 and 1", p50, p95)
 	}
 }
 

@@ -59,11 +59,13 @@ type Span struct {
 
 // QueryTrace is one query's complete recorded execution: identity,
 // end-to-end timings, whole-query resource consumption, and the span
-// tree. It is the unit the flight recorder stores and the exporters
-// consume.
+// tree. It is the one query record: the flight recorder stores it with
+// its span tree, the slow-query ring without one, and the exporters
+// consume it.
 type QueryTrace struct {
 	// ID is the engine-assigned trace sequence number, unique per engine
-	// lifetime.
+	// lifetime. A slow-query entry carries its flight-recorder trace's ID
+	// when the run was traced, and 0 otherwise.
 	ID uint64 `json:"id"`
 	// Expr and Doc identify the query.
 	Expr string `json:"expr"`
@@ -84,13 +86,20 @@ type QueryTrace struct {
 	NodeCacheHits  uint64 `json:"node_cache_hits"`
 	// Err is the query's terminal error text, empty on success.
 	Err string `json:"err,omitempty"`
+	// WorstOp names the query's worst-misestimated operator (largest
+	// q-error, when at least 2x) and WorstQErr its q-error — the cost
+	// observatory's pointer at a possible mis-planning cause. Set on
+	// slow-query entries; empty/zero when the observatory is off or every
+	// estimate was within 2x.
+	WorstOp   string  `json:"worst_op,omitempty"`
+	WorstQErr float64 `json:"worst_q_error,omitempty"`
 	// Request and Tenant tie the trace to the serving-layer request it
 	// ran under: the wire request ID (X-Vamana-Request) and the tenant
 	// it billed to. Empty for queries not driven through vamanad.
 	Request string `json:"request,omitempty"`
 	Tenant  string `json:"tenant,omitempty"`
 	// Root is the span tree, nil when spans were not recorded (e.g. the
-	// query failed before execution).
+	// query failed before execution) and on slow-query entries.
 	Root *Span `json:"root,omitempty"`
 }
 

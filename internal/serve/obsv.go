@@ -208,45 +208,13 @@ func (l *accessLog) write(rec *RequestRecord) {
 	l.mu.Unlock()
 }
 
-// requestRing is a bounded ring of finished requests, most recent
-// first on snapshot — the /debug/vamana/requests payload.
-type requestRing struct {
-	mu   sync.Mutex
-	ring []RequestRecord
-	n    uint64
-}
-
-func newRequestRing(size int) *requestRing {
-	return &requestRing{ring: make([]RequestRecord, size)}
-}
-
-func (r *requestRing) add(rec RequestRecord) {
-	r.mu.Lock()
-	r.ring[r.n%uint64(len(r.ring))] = rec
-	r.n++
-	r.mu.Unlock()
-}
-
-func (r *requestRing) snapshot() []RequestRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.n
-	if n > uint64(len(r.ring)) {
-		n = uint64(len(r.ring))
-	}
-	out := make([]RequestRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.ring[(r.n-1-i)%uint64(len(r.ring))])
-	}
-	return out
-}
-
 // requestObs is the server's request-observability state: ID
-// generation, the optional access log, and the recent/slow rings.
+// generation, the optional access log, and the recent/slow rings
+// (/debug/vamana/requests, most recent first; nil when disabled).
 type requestObs struct {
-	log    *accessLog   // nil: no access log
-	recent *requestRing // nil: ring disabled
-	slow   *requestRing // nil: slow ring disabled
+	log    *accessLog // nil: no access log
+	recent *obs.Ring[RequestRecord]
+	slow   *obs.Ring[RequestRecord]
 	slowAt time.Duration
 
 	salt uint64
@@ -266,11 +234,9 @@ func newRequestObs(logW io.Writer, ringSize int, slowAt time.Duration) *requestO
 	if logW != nil {
 		o.log = &accessLog{w: logW}
 	}
-	if ringSize > 0 {
-		o.recent = newRequestRing(ringSize)
-		if slowAt > 0 {
-			o.slow = newRequestRing(ringSize)
-		}
+	o.recent = obs.NewRing[RequestRecord](ringSize)
+	if slowAt > 0 {
+		o.slow = obs.NewRing[RequestRecord](ringSize)
 	}
 	return o
 }
@@ -300,11 +266,9 @@ func (o *requestObs) record(rec *RequestRecord) {
 	if o.log != nil {
 		o.log.write(rec)
 	}
-	if o.recent != nil {
-		o.recent.add(*rec)
-	}
-	if o.slow != nil && (rec.Total >= o.slowAt || rec.Outcome == OutcomeError) {
-		o.slow.add(*rec)
+	o.recent.Add(*rec)
+	if rec.Total >= o.slowAt || rec.Outcome == OutcomeError {
+		o.slow.Add(*rec)
 	}
 }
 
@@ -317,12 +281,8 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 		Slow   []RequestRecord `json:"slow"`
 	}
 	if s.obs != nil {
-		if s.obs.recent != nil {
-			payload.Recent = s.obs.recent.snapshot()
-		}
-		if s.obs.slow != nil {
-			payload.Slow = s.obs.slow.snapshot()
-		}
+		payload.Recent = s.obs.recent.Snapshot()
+		payload.Slow = s.obs.slow.Snapshot()
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

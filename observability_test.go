@@ -239,6 +239,10 @@ func TestSlowQueryLog(t *testing.T) {
 	if got := strings.Count(buf.String(), "slow query:"); got < 2 {
 		t.Errorf("writer got %d slow-query lines, want >= 2:\n%s", got, buf.String())
 	}
+	// Entries and log lines name the document, as traces do.
+	if slow[0].Doc != doc.Name() || !strings.Contains(buf.String(), " doc="+doc.Name()+" ") {
+		t.Errorf("slow entry doc %q / log line do not name document %q:\n%s", slow[0].Doc, doc.Name(), buf.String())
+	}
 }
 
 // TestTraceSampling samples 1 in 2 queries and expects exactly half of

@@ -36,6 +36,11 @@ scripts/apisnapshot.sh
 echo "== go build"
 go build ./...
 
+echo "== perfbench module (vet + tests against the changed public API)"
+# perfbench is a separate Go module, so go test ./... above never
+# compiles it; an API change that breaks the benchmark fails here.
+(cd perfbench && go vet ./... && go test -count 1 ./...)
+
 echo "== go test -race"
 go test -race ./...
 

@@ -161,8 +161,9 @@ func (db *DB) installShared(sn *core.Snapshot) {
 	}
 }
 
-// dropShared uninstalls the shared snapshot (before Drop and Close, so
-// its pins do not hold pages or block the operation indefinitely).
+// dropShared uninstalls the shared snapshot (inside Drop's writer lock,
+// and before Close, so its pins do not hold pages or block the
+// operation indefinitely).
 func (db *DB) dropShared() {
 	if old := db.shared.Swap(nil); old != nil {
 		old.Close()

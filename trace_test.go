@@ -228,13 +228,19 @@ func TestSlowQueryStorageDeltas(t *testing.T) {
 		if sq.NodeCacheHits == 0 {
 			t.Errorf("slow entry %q has zero node-cache hits: %+v", sq.Expr, sq)
 		}
-		if sq.TraceID == 0 {
+		if sq.ID == 0 {
 			t.Errorf("slow entry %q carries no trace id (flight recorder is on)", sq.Expr)
+		}
+		if sq.Root != nil {
+			t.Errorf("slow entry %q carries a span tree; it links to its trace by ID", sq.Expr)
 		}
 		anyRecords = anyRecords || sq.RecordsDecoded > 0
 	}
 	if !anyRecords {
 		t.Error("no slow entry recorded decoded records across Q1-Q5")
+	}
+	if traces := db.RecentTraces(); len(traces) == 0 || traces[0].ID != slow[0].ID || traces[0].Root == nil {
+		t.Errorf("newest slow entry (id %d) does not link to the newest flight-recorder trace", slow[0].ID)
 	}
 	line := buf.String()
 	for _, want := range []string{"pages=", "records=", "cachehits="} {

@@ -143,9 +143,6 @@ func WithRequestTrace(ctx context.Context, rt *RequestTrace) context.Context {
 	return core.WithRequestTrace(ctx, rt)
 }
 
-// SlowQuery is one recorded slow query (see Options.SlowQueryThreshold).
-type SlowQuery = core.SlowQuery
-
 // StorageMetrics snapshots a database's storage-level activity counters:
 // pager I/O, B+-tree node-cache traffic, records decoded, statistics
 // probes that reached storage.
@@ -295,11 +292,11 @@ func (db *DB) Documents() []string { return db.engine.Store().Documents() }
 // could still read fails with one satisfying errors.Is(err,
 // ErrDocumentBusy) — close them and retry.
 func (db *DB) Drop(name string) error {
-	// Release the auto-snapshot first: it pins every document and would
-	// otherwise make the drop spuriously busy. It reinstalls on the next
-	// transactional commit.
-	db.dropShared()
-	if err := db.engine.Store().DropDocument(name); err != nil {
+	// Release the auto-snapshot once the writer lock is held: it pins
+	// every document and would otherwise make the drop spuriously busy,
+	// and releasing it any earlier would send reads during an open
+	// Update to the live store. It reinstalls on the next commit.
+	if err := db.engine.Store().DropDocument(name, db.dropShared); err != nil {
 		if errors.Is(err, mass.ErrNoDoc) {
 			return wrapNoDoc(err, name)
 		}
@@ -444,8 +441,11 @@ func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }
 func (db *DB) StorageMetrics() StorageMetrics { return db.engine.Store().Metrics() }
 
 // SlowQueries returns the recorded slow queries, most recent first.
-// Empty unless Options.SlowQueryThreshold was set.
-func (db *DB) SlowQueries() []SlowQuery { return db.engine.SlowQueries() }
+// Empty unless Options.SlowQueryThreshold was set. Entries are flat
+// QueryTrace records without span trees (Root is nil); ID names the
+// entry's flight-recorder trace when the run was traced, else 0, and
+// WorstOp/WorstQErr name its worst-misestimated operator.
+func (db *DB) SlowQueries() []*QueryTrace { return db.engine.SlowQueries() }
 
 // RecentTraces returns the flight recorder's contents — the last N
 // complete query traces with span trees, most recent first. Empty unless
