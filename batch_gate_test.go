@@ -1,8 +1,6 @@
 package vamana
 
 import (
-	"math"
-	"os"
 	"testing"
 
 	"vamana/internal/xmark"
@@ -27,83 +25,12 @@ var batchGateExprs = []string{
 // identical operator tree — the ratio isolates precisely the per-pull
 // amortization this engine's vectorized executor exists to provide, so
 // a regression here means someone re-introduced per-tuple overhead on
-// the hot path.
-//
-// Methodology matches the trace/governance gates: single-goroutine
-// loops, interleaved rounds, best-of-rounds ratio (minimum over rounds
-// converges to true cost on noisy shared hardware), several attempts so
-// only a persistent regression fails. Skipped unless VAMANA_BATCH_GATE
-// is set — scripts/check.sh runs it.
+// the hot path. Single-goroutine drain loops, alternating best-of-rounds
+// (see gateSpecs).
 func TestBatchThroughputGate(t *testing.T) {
-	if os.Getenv("VAMANA_BATCH_GATE") == "" {
-		t.Skip("set VAMANA_BATCH_GATE=1 to run the batch-throughput gate")
-	}
+	g := gate(t, "batch")
 	src := xmark.GenerateString(xmark.Config{Factor: xmark.FactorForBytes(1 << 20), Seed: 51})
-	open := func(k benchKnobs) (*DB, *Document) {
-		db, err := openWith(Options{}, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		doc, err := db.LoadXMLString("auction", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, expr := range batchGateExprs {
-			drainCount(t, db, doc, expr)
-		}
-		return db, doc
-	}
-	tupleDB, tupleDoc := open(benchKnobs{execBatch: 1})
-	batchedDB, batchedDoc := open(benchKnobs{})
-
-	loop := func(db *DB, doc *Document) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				expr := batchGateExprs[i%len(batchGateExprs)]
-				res, err := db.Query(doc, expr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for res.Next() {
-				}
-				if err := res.Err(); err != nil {
-					b.Fatal(err)
-				}
-				res.Close()
-			}
-		}
-	}
-	measure := func(db *DB, doc *Document) float64 {
-		return float64(testing.Benchmark(loop(db, doc)).NsPerOp())
-	}
-
-	measure(batchedDB, batchedDoc) // warm-up round, discarded
-	const (
-		rounds   = 7
-		attempts = 3
-		floor    = 1.5
-	)
-	var speedup float64
-	for attempt := 1; attempt <= attempts; attempt++ {
-		tupleBest, batchedBest := math.MaxFloat64, math.MaxFloat64
-		var tuples, batches []float64
-		for i := 0; i < rounds; i++ {
-			var tu, ba float64
-			if i%2 == 0 {
-				tu, ba = measure(tupleDB, tupleDoc), measure(batchedDB, batchedDoc)
-			} else {
-				ba, tu = measure(batchedDB, batchedDoc), measure(tupleDB, tupleDoc)
-			}
-			tuples, batches = append(tuples, tu), append(batches, ba)
-			tupleBest, batchedBest = min(tupleBest, tu), min(batchedBest, ba)
-		}
-		speedup = tupleBest / batchedBest
-		t.Logf("attempt %d: scan-heavy drain ns/op tuple-at-a-time %v (best %.0f), batched %v (best %.0f), best-of-rounds speedup %.2fx",
-			attempt, tuples, tupleBest, batches, batchedBest, speedup)
-		if speedup >= floor {
-			return
-		}
-	}
-	t.Errorf("batched execution is only %.2fx tuple-at-a-time on scan-heavy shapes; the gate floor is %.1fx", speedup, floor)
+	tupleDB, tupleDoc := openWarm(t, Options{}, benchKnobs{execBatch: 1}, src, 1, batchGateExprs)
+	batchedDB, batchedDoc := openWarm(t, Options{}, benchKnobs{}, src, 1, batchGateExprs)
+	g.run(t, alternating(queryNs(tupleDB, tupleDoc, batchGateExprs), queryNs(batchedDB, batchedDoc, batchGateExprs)))
 }

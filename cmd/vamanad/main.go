@@ -78,7 +78,6 @@ func main() {
 		accessLog    = flag.String("access-log", "", "access log destination: a file path, \"stderr\", or \"stdout\" (empty = off)")
 		requestRing  = flag.Int("request-ring", 256, "recent/slow request ring size at /debug/vamana/requests (negative = off)")
 		slowRequest  = flag.Duration("slow-request", 500*time.Millisecond, "slow-request ring threshold (negative = off)")
-		noRequestObs = flag.Bool("no-request-obs", false, "disable per-request observability (IDs, SLO histograms, access log, request rings)")
 	)
 	flag.Var(&loads, "load", "load an XML document: name=path (repeatable)")
 	flag.Parse()
@@ -143,7 +142,6 @@ func main() {
 		DrainTimeout:         *drainTimeout,
 		RequestRingSize:      *requestRing,
 		SlowRequestThreshold: *slowRequest,
-		DisableRequestObs:    *noRequestObs,
 	}
 	switch *accessLog {
 	case "":

@@ -1,9 +1,6 @@
 package vamana
 
 import (
-	"fmt"
-	"os"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -32,36 +29,28 @@ var mixedGateExprs = []string{
 //
 // The writer is paced (writerPace between commits) rather than
 // spinning: an unthrottled in-memory commit loop is pure CPU, and on a
-// small machine — CI runs this on a single core, under -race — it
-// simply timeshares the core away from the reader, measuring the
-// scheduler instead of the engine. The pace is chosen so that the
-// probability of a query overlapping a commit burst (about (query
-// duration + commit duration) / pace) sits below the 5% tail that p95
-// inspects: a commit costs ~2ms of CPU under -race, queries run ~4ms,
-// so at 150ms pace roughly 4% of queries share their core slice with a
-// commit and the p95 isolates what the snapshot design actually
-// promises — readers do not *wait* on writers. A regression that makes
-// readers block behind commits or serializes them against the live
-// store shifts the whole latency distribution and still trips the
-// bound. Every mixed round spans several commits, each installing (and
-// reclaiming) a shared snapshot under the reader's feet.
+// box with few cores — check.sh runs this under -race; the gate record's
+// num_cpu and gomaxprocs say how many the run had — it simply timeshares
+// the reader's core away, measuring the scheduler instead of the engine.
+// The pace is chosen so that the probability of a query overlapping a
+// commit burst (about (query duration + commit duration) / pace) sits
+// below the 5% tail that p95 inspects: a commit costs ~2ms of CPU under
+// -race, queries run ~4ms, so at 150ms pace roughly 4% of queries share
+// their core slice with a commit and the p95 isolates what the snapshot
+// design actually promises — readers do not *wait* on writers. A
+// regression that makes readers block behind commits or serializes them
+// against the live store shifts the whole latency distribution and
+// still trips the bound. Every mixed round spans several commits, each
+// installing (and reclaiming) a shared snapshot under the reader's feet.
 //
-// Methodology matches the other gates: interleaved solo/mixed rounds,
-// best-of-rounds p95 (minimum over rounds converges to true cost on
-// noisy shared hardware), several attempts so only a persistent
-// regression fails. The bound is 1.10x — within the scheduler noise of
-// an uncontended run, per the gate-noise calibration in EXPERIMENTS.md.
-// Skipped unless VAMANA_MIXED_GATE is set — scripts/check.sh runs it
-// under -race.
+// Each round measures the reader solo, then beside the writer;
+// best-of-rounds p95 (see gateSpecs). The bound is 1.10x — within the
+// scheduler noise of an uncontended run, per the gate-noise calibration
+// in EXPERIMENTS.md.
 func TestMixedReadWriteGate(t *testing.T) {
-	if os.Getenv("VAMANA_MIXED_GATE") == "" {
-		t.Skip("set VAMANA_MIXED_GATE=1 to run the mixed read/write gate")
-	}
+	g := gate(t, "mixed")
 	const (
 		queriesPerRound = 250
-		rounds          = 3
-		attempts        = 4
-		maxRatio        = 1.10
 		writerPace      = 150 * time.Millisecond // ~7 committed txns/s
 	)
 
@@ -82,7 +71,7 @@ func TestMixedReadWriteGate(t *testing.T) {
 		}
 	}
 
-	runReader := func() []time.Duration {
+	runReader := func() float64 {
 		lats := make([]time.Duration, 0, queriesPerRound)
 		for i := 0; i < queriesPerRound; i++ {
 			expr := mixedGateExprs[i%len(mixedGateExprs)]
@@ -98,17 +87,9 @@ func TestMixedReadWriteGate(t *testing.T) {
 			}
 			lats = append(lats, time.Since(begin))
 		}
-		return lats
+		return p95(lats)
 	}
-	p95 := func(lats []time.Duration) time.Duration {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return lats[len(lats)*95/100]
-	}
-
-	measure := func(withWriter bool) time.Duration {
-		if !withWriter {
-			return p95(runReader())
-		}
+	withWriter := func() float64 {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -138,31 +119,16 @@ func TestMixedReadWriteGate(t *testing.T) {
 				}
 			}
 		}()
-		lats := runReader()
-		close(stop)
-		wg.Wait()
-		return p95(lats)
+		defer func() {
+			close(stop)
+			wg.Wait()
+		}()
+		return runReader()
 	}
 
-	var lastMsg string
-	for attempt := 0; attempt < attempts; attempt++ {
-		solo, mixed := time.Duration(1<<62), time.Duration(1<<62)
-		for r := 0; r < rounds; r++ {
-			if s := measure(false); s < solo {
-				solo = s
-			}
-			if m := measure(true); m < mixed {
-				mixed = m
-			}
-		}
-		ratio := float64(mixed) / float64(solo)
-		lastMsg = fmt.Sprintf("reader p95 solo=%v mixed=%v ratio=%.3f (bound %.2f)",
-			solo, mixed, ratio, maxRatio)
-		t.Log(lastMsg)
-		if ratio <= maxRatio {
-			return
-		}
-	}
-	t.Fatalf("reader tail latency degraded under concurrent writer after %d attempts: %s",
-		attempts, lastMsg)
+	g.run(t, func(int) (solo, mixed float64) {
+		solo = runReader()
+		mixed = withWriter()
+		return solo, mixed
+	})
 }

@@ -44,7 +44,7 @@ func geomeanQError(t testing.TB, db *DB, doc *Document, expr string) float64 {
 	if err != nil {
 		t.Fatalf("Prepare(%s): %v", expr, err)
 	}
-	an, err := q.q.Analyze(doc.id)
+	an, err := q.q.Analyze(nil, doc.id)
 	if err != nil {
 		t.Fatalf("Analyze(%s): %v", expr, err)
 	}

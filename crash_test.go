@@ -128,7 +128,7 @@ func crashFingerprint(db *DB) (string, error) {
 func crashBaseSnapshot(t *testing.T) (snap []byte, preFP string) {
 	t.Helper()
 	b := faultfs.New()
-	db, err := Open(Options{Backend: b})
+	db, err := openWith(Options{}, benchKnobs{backend: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCrashMatrix(t *testing.T) {
 			// Clean run: establish the post-operation fingerprint and count
 			// the backend writes and syncs the operation's commits perform.
 			clean := faultfs.FromBytes(baseSnap)
-			db, err := Open(Options{Backend: clean})
+			db, err := openWith(Options{}, benchKnobs{backend: clean})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestCrashMatrix(t *testing.T) {
 			if nWrites == 0 || nSyncs == 0 {
 				t.Fatalf("op performed no backend I/O (writes=%d syncs=%d)", nWrites, nSyncs)
 			}
-			post, err := Open(Options{Backend: faultfs.FromBytes(clean.Snapshot())})
+			post, err := openWith(Options{}, benchKnobs{backend: faultfs.FromBytes(clean.Snapshot())})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestCrashMatrix(t *testing.T) {
 			sawPre, sawPost := false, false
 			run := func(name string, arm func(b *faultfs.Backend)) {
 				b := faultfs.FromBytes(baseSnap)
-				db, err := Open(Options{Backend: b})
+				db, err := openWith(Options{}, benchKnobs{backend: b})
 				if err != nil {
 					t.Fatalf("%s: open: %v", name, err)
 				}
@@ -243,7 +243,7 @@ func TestCrashMatrix(t *testing.T) {
 				}
 				db.Close() // flush crashes here for most ops; errors expected
 
-				db2, err := Open(Options{Backend: faultfs.FromBytes(b.Snapshot())})
+				db2, err := openWith(Options{}, benchKnobs{backend: faultfs.FromBytes(b.Snapshot())})
 				if err != nil {
 					// A typed storage error is an acceptable (diagnosable)
 					// outcome; anything untyped is not.

@@ -3,7 +3,9 @@ package vamana
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -187,4 +189,129 @@ func TestNoDirtyReadsDuringTransaction(t *testing.T) {
 	if n, _ := doc.CountName("leaflet"); n != 1 {
 		t.Fatalf("post-commit CountName(leaflet) = %d, want 1", n)
 	}
+}
+
+// TestUpdateSnapshotUnderWriterLock: Update must check and refresh its
+// shared snapshot once it holds the writer lock. When the check ran
+// before the lock, a document load that won the lock in between left
+// the installed snapshot stale, and the transaction's own reads fell
+// back to the live store and saw its buffered writes.
+func TestUpdateSnapshotUnderWriterLock(t *testing.T) {
+	db := openDB(t)
+	doc, err := db.LoadXMLString("d", `<lib><book/></lib>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(*Txn) error { return nil }); err != nil { // installs the shared snapshot
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		// Hold the writer lock so the Update and the load below queue up
+		// behind it and race for it on release.
+		raw, err := db.engine.Store().BeginUpdate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var books []string
+		var updateErr, loadErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			updateErr = db.Update(func(tx *Txn) error {
+				root, err := queryKeys(db, doc, "/lib")
+				if err != nil {
+					return err
+				}
+				if _, err := tx.InsertElement(doc, root[0], -1, "book"); err != nil {
+					return err
+				}
+				if books, err = queryKeys(db, doc, "//book"); err != nil {
+					return err
+				}
+				return errAbort
+			})
+		}()
+		go func() {
+			defer wg.Done()
+			_, loadErr = db.LoadXMLString(fmt.Sprintf("other%d", i), `<x/>`)
+		}()
+		time.Sleep(2 * time.Millisecond) // let both reach the writer lock
+		if err := raw.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if updateErr != errAbort || loadErr != nil {
+			t.Fatalf("iteration %d: Update err = %v, load err = %v", i, updateErr, loadErr)
+		}
+		if len(books) != 1 {
+			t.Fatalf("iteration %d: mid-txn query //book = %d keys, want 1 (dirty read)", i, len(books))
+		}
+	}
+}
+
+// TestExplainAnalyzeReadsHandleView: ExplainAnalyze executes on the
+// state the handle reads — a snapshot's pinned version, and the last
+// committed state during an open Update — never the live store.
+func TestExplainAnalyzeReadsHandleView(t *testing.T) {
+	db := openDB(t)
+	doc, err := db.LoadXMLString("d", `<lib><book/></lib>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Prepare("//book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addBook := func(tx *Txn) error {
+		root, err := queryKeys(db, doc, "/lib")
+		if err != nil {
+			return err
+		}
+		_, err = tx.InsertElement(doc, root[0], -1, "book")
+		return err
+	}
+	results := func(d *Document) string {
+		t.Helper()
+		out, err := q.ExplainAnalyze(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, _, _ := strings.Cut(out[strings.Index(out, "results:"):], "\n")
+		return line
+	}
+
+	sn, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	snapDoc, err := sn.Document("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(addBook); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("snapshot", func(t *testing.T) {
+		if got := results(snapDoc); got != "results: 1" {
+			t.Errorf("ExplainAnalyze on the snapshot handle: %q, want %q", got, "results: 1")
+		}
+	})
+	t.Run("open transaction", func(t *testing.T) {
+		var got string
+		if err := db.Update(func(tx *Txn) error {
+			if err := addBook(tx); err != nil {
+				return err
+			}
+			got = results(doc)
+			return errAbort
+		}); err != errAbort {
+			t.Fatal(err)
+		}
+		if got != "results: 2" {
+			t.Errorf("ExplainAnalyze mid-transaction: %q, want %q (the committed state)", got, "results: 2")
+		}
+	})
 }

@@ -24,12 +24,15 @@ type Analysis struct {
 // returns the estimates and the actual per-operator counters side by
 // side — the machinery behind ExplainAnalyze, exposed structurally so
 // tests and tools can assert on the numbers instead of parsing text.
-func (q *Query) Analyze(doc mass.DocID) (*Analysis, error) {
-	p, err := q.Estimate(doc)
+// Like RunContext it reads snapshot sn (nil selects the live store):
+// estimates probe sn's statistics and execution scans sn's store.
+func (q *Query) Analyze(sn *Snapshot, doc mass.DocID) (*Analysis, error) {
+	v := q.engine.viewOf(sn)
+	p, err := q.estimate(v.probes, doc)
 	if err != nil {
 		return nil, err
 	}
-	it, err := exec.Run(p, exec.Context{Store: q.engine.store, Doc: doc})
+	it, err := exec.Run(p, exec.Context{Store: v.st, Doc: doc})
 	if err != nil {
 		return nil, err
 	}

@@ -433,8 +433,13 @@ func (q *Query) Trace() []string { return q.trace }
 // for concurrent use by any number of goroutines (which is what lets the
 // engine's plan cache share one Query across a serving fleet).
 func (q *Query) Estimate(doc mass.DocID) (*plan.Plan, error) {
+	return q.estimate(q.engine.probes, doc)
+}
+
+// estimate is Estimate with the statistics probes of a chosen view.
+func (q *Query) estimate(probes *cost.MemoProbes, doc mass.DocID) (*plan.Plan, error) {
 	p := q.plan.Clone()
-	est := &cost.Estimator{Store: q.engine.probes, Doc: doc, Calibrate: q.engine.calibrateFn()}
+	est := &cost.Estimator{Store: probes, Doc: doc, Calibrate: q.engine.calibrateFn()}
 	if err := est.Estimate(p); err != nil {
 		return nil, err
 	}
@@ -460,9 +465,10 @@ func (q *Query) Explain(doc mass.DocID) (string, error) {
 // counters — the empirical check that the cost model's OUT values really
 // are upper bounds. The annotated clone is what executes, so the
 // per-operator stats refer to operators carrying fresh estimates while
-// the shared plan stays untouched. Use Analyze for the structured form.
-func (q *Query) ExplainAnalyze(doc mass.DocID) (string, error) {
-	a, err := q.Analyze(doc)
+// the shared plan stays untouched. It reads snapshot sn as Analyze
+// does. Use Analyze for the structured form.
+func (q *Query) ExplainAnalyze(sn *Snapshot, doc mass.DocID) (string, error) {
+	a, err := q.Analyze(sn, doc)
 	if err != nil {
 		return "", err
 	}

@@ -113,19 +113,22 @@ func (sn *Snapshot) Close() error { return sn.ms.Close() }
 // panics). On success the commit is made durable through the
 // group-commit path and the published version epoch is returned.
 //
-// When install is non-nil the just-committed state is frozen as a shared
-// snapshot (engine caches, see wrapShared) and handed to install
-// atomically with the commit — before the store's commit generation
-// advances — so the auto-snapshot read path never sees a window where
-// its snapshot is stale but no replacement exists. install runs with the
-// store's writer lock held: it must only swap the snapshot in and
-// release the previous one.
-//
-// prev, when non-nil, is the shared snapshot currently installed; if it
-// is still the directly preceding committed state, the replacement
-// adopts its decoded-node caches for every page the commit left
-// untouched, so per-commit snapshots stay warm (see mass.CommitWith).
-func (e *Engine) Update(fn func(*mass.Update) error, prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
+// current and install keep the auto-snapshot read path's shared
+// snapshot (engine caches, see wrapShared). current returns the
+// installed one while it is still the latest committed state, else nil.
+// Once the writer lock is held, and before fn runs, a missing or stale
+// shared snapshot is replaced by a freeze of the committed state the
+// transaction starts from; under the lock no load or drop can slip in
+// between that check and fn, so fn's reads never fall back to the live
+// store and its buffered writes. The commit freezes the just-committed
+// state and hands it to install atomically — before the store's commit
+// generation advances — so the read path never sees a window where its
+// snapshot is stale but no replacement exists; the replacement adopts
+// the previous snapshot's decoded-node caches for every page the commit
+// left untouched, so per-commit snapshots stay warm (see
+// mass.CommitWith). install runs with the store's writer lock held: it
+// must only swap the snapshot in and release the previous one.
+func (e *Engine) Update(fn func(*mass.Update) error, current func() *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
 	u, err := e.store.BeginUpdate()
 	if err != nil {
 		return 0, err
@@ -140,20 +143,21 @@ func (e *Engine) Update(fn func(*mass.Update) error, prev *Snapshot, install fun
 			}
 		}
 	}()
+	prev := current()
+	if prev == nil {
+		ms, err := u.Snapshot()
+		if err != nil {
+			return 0, err
+		}
+		prev = e.wrapShared(ms)
+		install(prev)
+	}
 	if err := fn(u); err != nil {
 		return 0, err
 	}
-	if install == nil {
-		epoch, err = u.Commit()
-	} else {
-		var prevMass *mass.Snapshot
-		if prev != nil {
-			prevMass = prev.ms
-		}
-		epoch, err = u.CommitWith(prevMass, func(ms *mass.Snapshot) {
-			install(e.wrapShared(ms))
-		})
-	}
+	epoch, err = u.CommitWith(prev.ms, func(ms *mass.Snapshot) {
+		install(e.wrapShared(ms))
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -223,7 +223,7 @@ func TestUpdateTxnAtomicCommitAndRollback(t *testing.T) {
 			if err := u.RenameElement(d, k, "section"); err != nil {
 				t.Fatalf("txn rename: %v", err)
 			}
-			epoch, err := u.Commit()
+			epoch, err := u.CommitWith(nil, nil)
 			if err != nil {
 				t.Fatalf("commit: %v", err)
 			}
@@ -235,7 +235,7 @@ func TestUpdateTxnAtomicCommitAndRollback(t *testing.T) {
 				t.Fatalf("commit lost changes: %q", got)
 			}
 			// Double-finish is typed.
-			if _, err := u.Commit(); !errors.Is(err, ErrTxnDone) {
+			if _, err := u.CommitWith(nil, nil); !errors.Is(err, ErrTxnDone) {
 				t.Fatalf("second commit: %v", err)
 			}
 			if err := u.Rollback(); !errors.Is(err, ErrTxnDone) {
@@ -302,7 +302,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		if _, err := u.InsertElement(d, root, -1, "note"); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		e, err := u.Commit()
+		e, err := u.CommitWith(nil, nil)
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}

@@ -38,7 +38,7 @@ type Update struct {
 
 // BeginUpdate opens a write transaction. It blocks while another
 // transaction or per-operation mutation holds the writer lock. The
-// returned Update must be finished with Commit or Rollback.
+// returned Update must be finished with CommitWith or Rollback.
 func (s *Store) BeginUpdate() (*Update, error) {
 	if s.ro {
 		return nil, ErrReadOnlySnapshot
@@ -62,18 +62,15 @@ func (s *Store) BeginUpdate() (*Update, error) {
 	return u, nil
 }
 
-// Commit publishes the transaction's mutations as one new pager version
-// and releases the writer lock. It returns the published version epoch —
-// pass it to SyncCommitted for group-committed durability. On error the
-// transaction is rolled back.
-func (u *Update) Commit() (epoch uint64, err error) {
-	return u.commit(nil, nil)
-}
-
-// CommitWith is Commit plus an atomically-installed snapshot: after the
-// new version publishes — but before the new commit generation becomes
-// visible through CommitGen — it freezes the just-committed state and
-// hands the snapshot to install. A reader that validates a shared
+// CommitWith publishes the transaction's mutations as one new pager
+// version and releases the writer lock. It returns the published version
+// epoch — pass it to SyncCommitted for group-committed durability. On
+// error the transaction is rolled back.
+//
+// When install is non-nil the commit also installs a snapshot
+// atomically: after the new version publishes — but before the new
+// commit generation becomes visible through CommitGen — it freezes the
+// just-committed state and hands the snapshot to install. A reader that validates a shared
 // snapshot against CommitGen therefore never observes a stale window
 // around a transaction commit: until the handoff it sees the old commit
 // generation (matching the snapshot it already holds, still the latest
@@ -89,10 +86,6 @@ func (u *Update) Commit() (epoch uint64, err error) {
 // decoded-node caches for every unchanged page (see snapshotLocked) —
 // otherwise prev is ignored and the snapshot starts cold.
 func (u *Update) CommitWith(prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
-	return u.commit(prev, install)
-}
-
-func (u *Update) commit(prev *Snapshot, install func(*Snapshot)) (epoch uint64, err error) {
 	if u.done {
 		return 0, ErrTxnDone
 	}
@@ -136,6 +129,20 @@ func (u *Update) commit(prev *Snapshot, install func(*Snapshot)) (epoch uint64, 
 	s.commitGen.Store(next)
 	s.writer.Unlock()
 	return epoch, nil
+}
+
+// Snapshot freezes the committed state the transaction started from:
+// Store.Snapshot for a caller that already holds the writer lock through
+// u, so no other writer can commit between BeginUpdate and the freeze.
+// Call it before the transaction's first mutation.
+func (u *Update) Snapshot() (*Snapshot, error) {
+	if u.done {
+		return nil, ErrTxnDone
+	}
+	s := u.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapshotLocked(s.commitGen.Load(), nil, nil)
 }
 
 // Rollback discards every mutation made through the transaction and

@@ -10,38 +10,27 @@
 // traffic) live as plain fields under their owners' existing locks and
 // are merged into the exposition by core.Engine.WriteMetrics.
 //
-// The whole layer can be switched off (SetEnabled, or the VAMANA_OBS=off
-// environment variable), reducing every hot-path instrumentation site to
-// one shared atomic load — the serving fast path stays allocation-free
-// either way, because per-run counts are batched in the executor and
-// flushed once per query.
+// The whole layer can be switched off (SetEnabled), reducing every
+// hot-path instrumentation site to one shared atomic load — the serving
+// fast path stays allocation-free either way, because per-run counts are
+// batched in the executor and flushed once per query.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 )
 
-// enabled gates every counter and histogram write. Default on; the
-// VAMANA_OBS environment variable ("off", "0", "false") disables it at
-// process start, and SetEnabled toggles it at runtime (used by the
-// metrics-overhead benchmark gate).
+// enabled gates every counter and histogram write. Default on;
+// SetEnabled toggles it at runtime (used by the metrics-overhead gate).
 var enabled atomic.Bool
 
-func init() {
-	switch os.Getenv("VAMANA_OBS") {
-	case "off", "0", "false":
-		enabled.Store(false)
-	default:
-		enabled.Store(true)
-	}
-}
+func init() { enabled.Store(true) }
 
 // Enabled reports whether metric collection is on.
 func Enabled() bool { return enabled.Load() }

@@ -3,23 +3,19 @@ package serve
 // Graceful-drain tests: SIGTERM arriving mid-stream must let every
 // in-flight result stream finish byte-complete, flip /healthz to 503,
 // reject new connections with a typed draining error, and return within
-// the drain deadline — losing zero in-flight queries. A separate test
-// crashes the store *during* the drain window and verifies the pager's
-// double-write journal recovers the last committed state on restart.
+// the drain deadline — losing zero in-flight queries. The crash during
+// the drain window lives in the root package (drain_crash_test.go),
+// which can open a database on a fault-injecting backend.
 
 import (
 	"bytes"
 	"context"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
-
-	"vamana"
-	"vamana/internal/pager/faultfs"
 )
 
 func TestDrainSIGTERMFinishesInflightStreams(t *testing.T) {
@@ -135,110 +131,6 @@ func TestDrainDeadlineExpires(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("expired drain err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestCrashDuringDrainRecovers kills the store mid-drain — after a
-// transaction committed but with a stream still in flight — and
-// verifies the journal brings the reopened store back to exactly the
-// last committed version.
-func TestCrashDuringDrainRecovers(t *testing.T) {
-	checkGoroutines(t)
-	backend := faultfs.New()
-	db, err := vamana.Open(vamana.Options{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			db.Close()
-		}
-	}()
-	doc, err := db.LoadXMLString("d", "<log><entry>base</entry></log>")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One committed transaction: this is the state recovery must restore.
-	if err := db.Update(func(tx *vamana.Txn) error {
-		res, err := db.Query(doc, "/log")
-		if err != nil {
-			return err
-		}
-		keys, err := res.Keys()
-		if err != nil {
-			return err
-		}
-		k, err := tx.InsertElement(doc, keys[0], -1, "entry")
-		if err != nil {
-			return err
-		}
-		_, err = tx.InsertText(doc, k, -1, "committed")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	s, ts := newTestServer(t, Config{
-		DB: db,
-		Hooks: Hooks{PostAdmit: func(string) {
-			started <- struct{}{}
-			<-release
-		}},
-	})
-
-	// Pin a stream in flight, then start draining.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		get(t, ts, "", "doc=d&q=//entry")
-	}()
-	<-started
-	drainDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		drainDone <- s.Drain(ctx)
-	}()
-	waitDraining(t, s)
-
-	// Crash while the drain is waiting on the in-flight stream: all
-	// unsynced writes are lost, exactly like a machine losing power
-	// before a clean shutdown.
-	backend.Crash()
-	crashImage := backend.Snapshot()
-
-	// Let the test's server machinery wind down (the in-flight request
-	// finishes against the in-memory state; its result no longer
-	// matters — the durability claim is about the store).
-	close(release)
-	wg.Wait()
-	<-drainDone
-
-	// Restart from the crash image: journal recovery must yield the
-	// committed two-entry document.
-	db2, err := vamana.Open(vamana.Options{Backend: faultfs.FromBytes(crashImage)})
-	if err != nil {
-		t.Fatalf("reopen after crash-during-drain: %v", err)
-	}
-	defer db2.Close()
-	doc2, err := db2.Document("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := doc2.CountName("entry"); err != nil || n != 2 {
-		t.Fatalf("recovered entries = %d, %v; want 2", n, err)
-	}
-	var sb strings.Builder
-	if err := doc2.WriteXML("a", &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "committed") {
-		t.Fatalf("recovered document lost committed text: %s", sb.String())
 	}
 }
 

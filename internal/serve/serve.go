@@ -91,7 +91,9 @@ type Config struct {
 	// DisableRequestObs turns off per-request observability entirely —
 	// request IDs, SLO histograms, access log, request rings, combined
 	// serve+engine traces. The cumulative tenant counters in TenantStats
-	// keep counting (they are accounting, not observability).
+	// keep counting (they are accounting, not observability). vamanad
+	// always runs with request observability on; the field exists for
+	// the serve-obs overhead gate and tests to pair against.
 	DisableRequestObs bool
 
 	// Hooks expose deterministic test points; nil in production.

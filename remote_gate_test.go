@@ -8,24 +8,16 @@ package vamana_test
 // bookkeeping, tenant resolution, NDJSON encoding, HTTP framing and a
 // loopback round trip — and catches regressions anywhere in that stack.
 //
-// Methodology matches the repo's other perf gates: paired interleaved
-// rounds (in-process and remote alternate within each round, so machine
-// noise hits both sides equally), best-of-rounds p95 per side, several
-// attempts so only a persistent regression fails. External test package:
-// internal/serve imports vamana, so an in-package test would cycle.
-//
-// Skipped unless VAMANA_REMOTE_GATE is set — scripts/check.sh runs it.
-// Gates jitter around ±7% on shared hardware; re-run a failing gate
-// alone before calling it a regression.
+// Each round alternates the two paths query by query, so any
+// machine-noise burst lands on both sides; best-of-rounds p95 (see
+// gateSpecs). External test package: internal/serve imports vamana, so
+// an in-package test would cycle.
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -35,15 +27,10 @@ import (
 )
 
 func TestRemoteOverheadGate(t *testing.T) {
-	if os.Getenv("VAMANA_REMOTE_GATE") == "" {
-		t.Skip("set VAMANA_REMOTE_GATE=1 to run the remote overhead gate")
-	}
+	g := vamana.StartGate(t, "remote")
 	const (
 		q1              = "//person/address" // the paper's Q1
 		queriesPerRound = 120
-		rounds          = 3
-		attempts        = 4
-		maxMultiple     = 3.0
 	)
 
 	db, err := vamana.Open(vamana.Options{})
@@ -66,7 +53,6 @@ func TestRemoteOverheadGate(t *testing.T) {
 	client := ts.Client()
 	remoteURL := ts.URL + "/v1/query?doc=auction&q=" + q1
 
-	// Warm both paths: plan cache, probe memo, HTTP connection.
 	drainInProcess := func() {
 		res, err := db.QueryContext(context.Background(), doc, q1)
 		if err != nil {
@@ -91,18 +77,13 @@ func TestRemoteOverheadGate(t *testing.T) {
 			t.Fatalf("remote status = %d", resp.StatusCode)
 		}
 	}
+	// Warm both paths: plan cache, probe memo, HTTP connection.
 	for i := 0; i < 5; i++ {
 		drainInProcess()
 		drainRemote()
 	}
 
-	p95 := func(lats []time.Duration) time.Duration {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return lats[len(lats)*95/100]
-	}
-	// One paired round: alternate the two paths query by query so any
-	// machine-noise burst lands on both sides.
-	measureRound := func() (inProc, remote time.Duration) {
+	vamana.RunGate(g, t, func(int) (inProc, remote float64) {
 		in := make([]time.Duration, 0, queriesPerRound)
 		rem := make([]time.Duration, 0, queriesPerRound)
 		for i := 0; i < queriesPerRound; i++ {
@@ -113,28 +94,6 @@ func TestRemoteOverheadGate(t *testing.T) {
 			drainRemote()
 			rem = append(rem, time.Since(begin))
 		}
-		return p95(in), p95(rem)
-	}
-
-	var lastMsg string
-	for attempt := 0; attempt < attempts; attempt++ {
-		inBest, remBest := time.Duration(1<<62), time.Duration(1<<62)
-		for r := 0; r < rounds; r++ {
-			in, rem := measureRound()
-			if in < inBest {
-				inBest = in
-			}
-			if rem < remBest {
-				remBest = rem
-			}
-		}
-		multiple := float64(remBest) / float64(inBest)
-		lastMsg = fmt.Sprintf("cached Q1 p95 in-process=%v remote=%v multiple=%.2f (bound %.1f)",
-			inBest, remBest, multiple, maxMultiple)
-		t.Log(lastMsg)
-		if multiple <= maxMultiple {
-			return
-		}
-	}
-	t.Fatalf("remote serving overhead exceeded bound after %d attempts: %s", attempts, lastMsg)
+		return vamana.P95(in), vamana.P95(rem)
+	})
 }

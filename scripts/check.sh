@@ -48,8 +48,11 @@ echo "== serving smoke (BenchmarkServing, 1 iteration)"
 go test -run '^$' -bench BenchmarkServing -benchtime 1x .
 
 echo "== metrics overhead gate (warm serving, obs on vs off, 5% budget)"
-# Interleaved in-process rounds with collection toggled, best per mode —
-# see TestMetricsOverheadGate.
+# Every timing gate below runs on the one paired-timing harness in
+# gate_test.go (budgets, rounds and attempts in its gateSpecs table) and
+# appends one JSON record per run to scripts/out/gates.ndjson.
+# Interleaved in-process rounds with collection toggled, median of the
+# per-round ratios — see TestMetricsOverheadGate.
 VAMANA_METRICS_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -count 1 .
 
 echo "== governance tests under the race detector"
@@ -59,7 +62,7 @@ echo "== governance tests under the race detector"
 go test -race -run 'TestQueryContext|TestQueryTimeout|TestCancel|TestPreCanceled|TestBudget|TestDefaultLimits|TestConcurrentMixed|TestErrorTaxonomy|TestResultsAll' -count 1 .
 
 echo "== governance overhead gate (governed vs ungoverned serving, 3% budget)"
-# Paired interleaved rounds, median per-round ratio — see
+# Paired interleaved rounds, best of rounds — see
 # TestGovernanceOverheadGate.
 VAMANA_GOVERNANCE_GATE=1 go test -run '^TestGovernanceOverheadGate$' -v -count 1 .
 

@@ -9,22 +9,14 @@ package vamana_test
 // header echoes, two histogram observations, the NDJSON log line, two
 // ring inserts — lives inside that 2%.
 //
-// Methodology matches the repo's other perf gates: two servers over one
-// shared DB (same plan cache, same pages), paired interleaved rounds so
-// machine noise lands on both sides, best-of-rounds p95 per side,
-// several attempts so only a persistent regression fails.
-//
-// Skipped unless VAMANA_SERVE_OBS_GATE is set — scripts/check.sh runs
-// it. Gates jitter around ±7% on shared hardware; re-run a failing gate
-// alone before calling it a regression.
+// Two servers share one DB (same plan cache, same pages); each round
+// alternates them query by query so machine noise lands on both sides;
+// best-of-rounds p95 (see gateSpecs).
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -34,15 +26,10 @@ import (
 )
 
 func TestServeObsOverheadGate(t *testing.T) {
-	if os.Getenv("VAMANA_SERVE_OBS_GATE") == "" {
-		t.Skip("set VAMANA_SERVE_OBS_GATE=1 to run the serve observability overhead gate")
-	}
+	g := vamana.StartGate(t, "serve_obs")
 	const (
 		q1              = "//person/address" // the paper's Q1
 		queriesPerRound = 120
-		rounds          = 3
-		attempts        = 4
-		maxMultiple     = 1.02
 	)
 
 	db, err := vamana.Open(vamana.Options{})
@@ -94,43 +81,17 @@ func TestServeObsOverheadGate(t *testing.T) {
 		drain(offURL)
 	}
 
-	p95 := func(lats []time.Duration) time.Duration {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return lats[len(lats)*95/100]
-	}
-	measureRound := func() (withObs, without time.Duration) {
-		on := make([]time.Duration, 0, queriesPerRound)
-		off := make([]time.Duration, 0, queriesPerRound)
+	vamana.RunGate(g, t, func(int) (off, on float64) {
+		onLats := make([]time.Duration, 0, queriesPerRound)
+		offLats := make([]time.Duration, 0, queriesPerRound)
 		for i := 0; i < queriesPerRound; i++ {
 			begin := time.Now()
 			drain(obsURL)
-			on = append(on, time.Since(begin))
+			onLats = append(onLats, time.Since(begin))
 			begin = time.Now()
 			drain(offURL)
-			off = append(off, time.Since(begin))
+			offLats = append(offLats, time.Since(begin))
 		}
-		return p95(on), p95(off)
-	}
-
-	var lastMsg string
-	for attempt := 0; attempt < attempts; attempt++ {
-		onBest, offBest := time.Duration(1<<62), time.Duration(1<<62)
-		for r := 0; r < rounds; r++ {
-			on, off := measureRound()
-			if on < onBest {
-				onBest = on
-			}
-			if off < offBest {
-				offBest = off
-			}
-		}
-		multiple := float64(onBest) / float64(offBest)
-		lastMsg = fmt.Sprintf("cached Q1 remote p95 obs-on=%v obs-off=%v multiple=%.3f (bound %.2f)",
-			onBest, offBest, multiple, maxMultiple)
-		t.Log(lastMsg)
-		if multiple <= maxMultiple {
-			return
-		}
-	}
-	t.Fatalf("request observability overhead exceeded bound after %d attempts: %s", attempts, lastMsg)
+		return vamana.P95(offLats), vamana.P95(onLats)
+	})
 }

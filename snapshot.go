@@ -151,10 +151,11 @@ func (db *DB) acquireShared() *core.Snapshot {
 	return sn
 }
 
-// installShared is the commit hook that publishes a fresh shared
-// snapshot for the auto-snapshot read path, releasing the previous one.
-// It runs inside Update's commit with the store's writer lock held, so
-// it only swaps pointers and drops a reference.
+// installShared publishes a fresh shared snapshot for the
+// auto-snapshot read path, releasing the previous one. Update calls it
+// with the store's writer lock held — at commit, and before its function
+// runs when no fresh snapshot is installed — so it only swaps pointers
+// and drops a reference.
 func (db *DB) installShared(sn *core.Snapshot) {
 	if old := db.shared.Swap(sn); old != nil {
 		old.Close()
@@ -170,25 +171,14 @@ func (db *DB) dropShared() {
 	}
 }
 
-// refreshShared ensures a fresh shared snapshot is installed, so every
-// auto-snapshot read path — queries and direct Document reads alike —
-// has a committed version to serve from. Update calls it before running
-// its function: otherwise reads during the first-ever transaction (no
-// commit has installed a snapshot yet) would fall back to the live
-// trees and observe the transaction's buffered writes.
-func (db *DB) refreshShared() {
-	if sn := db.acquireShared(); sn != nil {
-		sn.Unref()
-		return
+// freshShared returns the installed shared snapshot while it is still
+// the latest committed state, else nil. Update calls it under the
+// writer lock, where neither can change underneath it.
+func (db *DB) freshShared() *core.Snapshot {
+	if sn := db.shared.Load(); sn != nil && sn.Gen() == db.engine.Store().CommitGen() {
+		return sn
 	}
-	sn, err := db.engine.Snapshot()
-	if err != nil {
-		return
-	}
-	if !db.shared.CompareAndSwap(nil, sn) {
-		// Lost an install race; the winner is at least as fresh.
-		sn.Close()
-	}
+	return nil
 }
 
 // Txn is an open write transaction, passed to the function run by
@@ -215,17 +205,9 @@ type Txn struct {
 // DB.Query observes the new version immediately and never falls back to
 // contended live-store reads in between.
 func (db *DB) Update(fn func(*Txn) error) error {
-	// Make sure direct reads have a committed snapshot to serve from
-	// while the transaction is open (see refreshShared).
-	db.refreshShared()
-	// The installed shared snapshot seeds the replacement's node caches
-	// when it is still the directly preceding committed state (checked
-	// under the writer lock at commit; a racing uninstall at worst costs
-	// the warm start, never correctness).
-	prev := db.shared.Load()
 	_, err := db.engine.Update(func(u *mass.Update) error {
 		return fn(&Txn{db: db, u: u})
-	}, prev, db.installShared)
+	}, db.freshShared, db.installShared)
 	return err
 }
 

@@ -12,18 +12,6 @@ import (
 	"vamana/internal/pager"
 )
 
-// Backend is the raw random-access storage surface under the page layer:
-// positioned reads and writes, durability barriers (Sync), and sizing.
-// See Options.Backend.
-type Backend = pager.Backend
-
-// NewFileBackend opens (or creates) path as a storage Backend — the same
-// backend Open uses for Options.Path. It exists for callers that wrap or
-// interpose on file storage before handing it to Options.Backend.
-func NewFileBackend(path string) (Backend, error) {
-	return pager.NewFileBackend(path)
-}
-
 var (
 	// ErrChecksum reports that a page read from storage failed its CRC32C
 	// verification — bit rot, a torn write, or a truncated file. The

@@ -47,6 +47,7 @@ import (
 	"vamana/internal/flex"
 	"vamana/internal/mass"
 	"vamana/internal/obs"
+	"vamana/internal/pager"
 	"vamana/internal/xmldoc"
 )
 
@@ -61,11 +62,6 @@ type Options struct {
 	// demand). 0 selects a default of ~6K pages. This is the knob that
 	// keeps memory flat however large the documents grow.
 	CachePages int
-	// Backend, when non-nil, overrides Path as the raw storage under the
-	// page layer. Production stores use Path; Backend exists for tests
-	// and tools that need to interpose on the database's I/O (e.g. fault
-	// injection, read-only snapshots).
-	Backend Backend
 	// PlanCacheSize bounds the number of compiled query plans kept by the
 	// serving fast path (DB.Query). 0 selects the default of 256 plans;
 	// negative disables plan caching, making DB.Query compile on every
@@ -161,9 +157,9 @@ type DB struct {
 	shared atomic.Pointer[core.Snapshot]
 }
 
-// benchKnobs are the benchmark-pairing switches kept off the public
-// Options: package tests open databases with them set (openWith) to pair
-// a feature against its absence. Results are identical either way.
+// benchKnobs are the test seams kept off the public Options: package
+// tests open databases with them set (openWith) to pair a feature
+// against its absence, or to interpose on storage I/O.
 type benchKnobs struct {
 	// execBatch sets the executor's pull-batch size (0 selects the
 	// default; 1 is tuple-at-a-time execution).
@@ -174,17 +170,20 @@ type benchKnobs struct {
 	// noChecksumVerify skips per-page CRC32C verification on reads
 	// (pages are still stamped on write).
 	noChecksumVerify bool
+	// backend, when non-nil, replaces Path as the raw storage under the
+	// page layer (fault injection in the crash tests).
+	backend pager.Backend
 }
 
 // Open creates or reopens a database.
 func Open(opts Options) (*DB, error) { return openWith(opts, benchKnobs{}) }
 
-// openWith is Open plus the benchmark-pairing knobs.
+// openWith is Open plus the test seams.
 func openWith(opts Options, k benchKnobs) (*DB, error) {
 	e, err := core.Open(core.Options{
 		Path:                   opts.Path,
 		CachePages:             opts.CachePages,
-		Backend:                opts.Backend,
+		Backend:                k.backend,
 		DisableChecksumVerify:  k.noChecksumVerify,
 		PlanCacheSize:          opts.PlanCacheSize,
 		SlowQueryThreshold:     opts.SlowQueryThreshold,
@@ -505,7 +504,16 @@ func (q *Query) Explain(doc *Document) (string, error) {
 // bounds next to the actual per-operator tuple counts observed during
 // execution.
 func (q *Query) ExplainAnalyze(doc *Document) (string, error) {
-	return q.q.ExplainAnalyze(doc.id)
+	// Same committed state as Run: a snapshot-bound doc's pinned
+	// version, and never an open transaction's buffered writes.
+	if doc.snap != nil && doc.snap.closed.Load() {
+		return "", ErrSnapshotClosed
+	}
+	sn, ref := doc.readFrom()
+	if ref {
+		defer sn.Unref()
+	}
+	return q.q.ExplainAnalyze(sn, doc.id)
 }
 
 // Run executes the query against doc. By default results stream from
